@@ -27,7 +27,7 @@ __all__ = [
     "Gradients",
     "ShapeMismatchError",
     "as_tensor",
-    "elementwise",
+    "forward_fn",
     "add",
     "sub",
     "mul",
@@ -48,13 +48,7 @@ __all__ = [
     "sg_lambda",
     "backward",
     "jvp",
-    "SECOND_ORDER_SUPPORTED",
 ]
-
-# Reverse-over-forward is available: tangent arithmetic is recorded on the
-# tape when requested, so losses that differentiate through a directional
-# derivative are supported. Kept as a flag so callers can gate on it.
-SECOND_ORDER_SUPPORTED = True
 
 
 class ShapeMismatchError(ValueError):
@@ -201,6 +195,16 @@ def as_tensor(x) -> Tensor:
     if isinstance(x, DualTensor):
         raise TypeError("as_tensor does not accept DualTensor")
     return Tensor._wrap(np.array(x, dtype=np.float64))
+
+
+def forward_fn(field) -> Callable:
+    """The evaluation function u(x, r, t) of a field object or plain callable.
+
+    ``forward`` is looked up on every call of this function rather than
+    through ``__call__``, so a ``forward`` replaced on the class after it
+    was defined is the one that runs.
+    """
+    return field.forward if hasattr(field, "forward") else field
 
 
 class _Node:
@@ -504,32 +508,6 @@ def sin(a):
 def cos(a):
     return _unary("cos", a, np.cos, lambda g, x, y: -np.sin(x) * g,
                   lambda ap, y, at: neg(mul(sin(ap), at)))
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "neg": neg,
-    "tanh": tanh,
-    "square": square,
-}
-
-
-def elementwise(op_kind: str, a, b=None):
-    """Dispatch an elementwise operation by name."""
-    try:
-        fn = _ELEMENTWISE[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op kind: {op_kind!r}") from None
-    if op_kind in ("neg", "tanh", "square"):
-        if b is not None:
-            raise TypeError(f"{op_kind} takes a single operand")
-        return fn(a)
-    if b is None:
-        raise TypeError(f"{op_kind} takes two operands")
-    return fn(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import argparse
 import concurrent.futures
 import datetime
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -31,7 +32,13 @@ from .meanflow_math import (
     identity_residual,
     limit_slope,
 )
-from .objectives import TimePairConfig, WarmupSchedule, schedule_from_dict
+from .objectives import (
+    MIN_GAP_FLOOR,
+    ConstantSchedule,
+    TimePairConfig,
+    WarmupSchedule,
+    schedule_from_dict,
+)
 from .sampler_eval import (
     energy_distance,
     few_step_sample,
@@ -40,7 +47,14 @@ from .sampler_eval import (
     path_deviation,
     smoothness,
 )
-from .tasks import NoReferencePathError, SamplePair, task_from_dict
+from .tasks import (
+    Gmm2dTask,
+    NoReferencePathError,
+    OdeHarmonicTask,
+    PointMassTask,
+    SamplePair,
+    task_from_dict,
+)
 from .trainer import TrainConfig, loss_variance, train
 
 __all__ = [
@@ -69,219 +83,171 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # config schema
+#
+# One table entry per section (and per task or schedule kind) maps each key
+# to its JSON type and range check. A missing key takes the keyword default
+# of the constructor the section feeds, so no default is written twice; only
+# ``eval`` and ``diagnose`` feed no constructor and list their own.
+
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
+
+_POSITIVE = ("must be positive", lambda v: v > 0)
+_NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0)
+_UNIT = ("must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 
 
-def _require_keys(d: dict, allowed, path: str):
-    unknown = sorted(set(d) - set(allowed))
+def _one_of(*choices):
+    return (f"expected one of {'|'.join(choices)}", lambda v: v in choices)
+
+
+def _defaults(make) -> dict:
+    """Keyword defaults of a constructor, tuples as JSON arrays."""
+    return {name: list(p.default) if isinstance(p.default, tuple) else p.default
+            for name, p in inspect.signature(make).parameters.items()
+            if p.default is not p.empty}
+
+
+_SCHEMA = {
+    "task": {
+        "ode_harmonic": (_defaults(OdeHarmonicTask), {
+            "dim": (int, _POSITIVE),
+            "endpoint_noise_std": (float, _NON_NEGATIVE),
+            "seed": (int, None),
+        }),
+        "gmm2d": (_defaults(Gmm2dTask), {
+            "components": (int, _POSITIVE),
+            "ring_radius": (float, _NON_NEGATIVE),
+            "component_std": (float, _NON_NEGATIVE),
+            "seed": (int, None),
+        }),
+        "point_mass": (_defaults(PointMassTask), {
+            "target_mean": ([float], ("expected a 2-vector", lambda m: len(m) == 2)),
+            "target_std": (float, _NON_NEGATIVE),
+            "seed": (int, None),
+        }),
+    },
+    "field": (_defaults(FieldConfig), {
+        "input_dim": (int, _POSITIVE),
+        "hidden_widths": ([int], ("must be positive", lambda ws: min(ws) > 0)),
+        "time_embed_dim": (int, ("must be positive and even", lambda d: d > 0 and d % 2 == 0)),
+        "base_frequency": (float, _POSITIVE),
+        "seed": (int, None),
+        "zero_init_output": (bool, None),
+    }),
+    "train": (_defaults(TrainConfig), {
+        "total_steps": (int, _POSITIVE),
+        "batch_size": (int, _POSITIVE),
+        "lr0": (float, _POSITIVE),
+        "seed": (int, None),
+        "checkpoint_every": (int, _NON_NEGATIVE),
+        "log_every": (int, _POSITIVE),
+        "grad_clip": ((float, None), _POSITIVE),
+        "interpolation": (str, _one_of("interval_ratio", "absolute_time")),
+        "target_norm": (str, _one_of("sampled_gap", "pair_span")),
+    }),
+    "schedule": {
+        "constant": (_defaults(ConstantSchedule), {"value": (float, _UNIT)}),
+        "warmup": (_defaults(WarmupSchedule), {"t_warmup": (int, _POSITIVE)}),
+    },
+    "time_pairs": (_defaults(TimePairConfig), {
+        "min_gap": (float, (f"must be >= {MIN_GAP_FLOOR}", lambda g: g >= MIN_GAP_FLOOR)),
+        "r_zero_prob": (float, _UNIT),
+    }),
+    "eval": ({"n_samples": 1024, "few_step_ns": [1, 2, 4, 8]}, {
+        "n_samples": (int, _POSITIVE),
+        "few_step_ns": ([int], ("must be >= 1", lambda ns: min(ns) >= 1)),
+    }),
+    "diagnose": ({"samples": 1000, "seed": 0, "identity_tol": 1e-5,
+                  "consistency_tol": 1e-5, "slope_tol": 0.1}, {
+        "samples": (int, _POSITIVE),
+        "seed": (int, None),
+        "identity_tol": (float, _POSITIVE),
+        "consistency_tol": (float, _POSITIVE),
+        "slope_tol": (float, _POSITIVE),
+    }),
+}
+
+
+def _convert(value, kind, path: str):
+    """``value`` as JSON type ``kind``; ``[kind]`` is a non-empty array of it and
+    ``(kind, None)`` also admits null. Integers are accepted as numbers."""
+    if isinstance(kind, list):
+        if isinstance(value, list) and value:
+            return [_convert(v, kind[0], path) for v in value]
+        raise ConfigError(path, f"expected a non-empty array, got {value!r}")
+    if isinstance(kind, tuple):
+        return None if value is None else _convert(value, kind[0], path)
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = (isinstance(value, (int, float) if kind is float else kind)
+              and not isinstance(value, bool))
+    if not ok:
+        raise ConfigError(path, f"expected {_JSON_TYPES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _section(doc, path: str, **extra_defaults) -> dict:
+    """Check one config section against ``_SCHEMA[path]``; returns it with
+    every default filled in, ``extra_defaults`` taking precedence."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"expected an object, got {doc!r}")
+    spec, out = _SCHEMA[path], {}
+    if isinstance(spec, dict):  # a kinded section: the kind picks the entry
+        kind = doc.get("kind")
+        if kind not in tuple(spec):
+            raise ConfigError(f"{path}.kind", f"expected one of {'|'.join(spec)}, got {kind!r}")
+        spec, out = spec[kind], {"kind": kind}
+        doc = {k: v for k, v in doc.items() if k != "kind"}
+    defaults, keys = spec
+    defaults = {**defaults, **extra_defaults}
+    unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
-
-
-def _pick(d: dict, key: str, path: str, kind, default=None, required=False,
-          positive=False, non_negative=False):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    value = d[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
-    if not isinstance(value, kind):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {value!r}")
-    if positive and value <= 0:
-        raise ConfigError(f"{path}.{key}", f"must be positive, got {value!r}")
-    if non_negative and value < 0:
-        raise ConfigError(f"{path}.{key}", f"must be >= 0, got {value!r}")
-    return value
-
-
-def _canon_task(d: dict) -> dict:
-    if not isinstance(d, dict):
-        raise ConfigError("task", "expected an object")
-    kind = d.get("kind")
-    if kind == "ode_harmonic":
-        _require_keys(d, {"kind", "dim", "endpoint_noise_std", "seed"}, "task")
-        return {
-            "kind": kind,
-            "dim": _pick(d, "dim", "task", int, default=2, positive=True),
-            "endpoint_noise_std": _pick(d, "endpoint_noise_std", "task", float,
-                                        default=0.01, non_negative=True),
-            "seed": _pick(d, "seed", "task", int, default=0),
-        }
-    if kind == "gmm2d":
-        _require_keys(d, {"kind", "components", "ring_radius", "component_std", "seed"}, "task")
-        return {
-            "kind": kind,
-            "components": _pick(d, "components", "task", int, default=8, positive=True),
-            "ring_radius": _pick(d, "ring_radius", "task", float, default=4.0,
-                                 non_negative=True),
-            "component_std": _pick(d, "component_std", "task", float, default=0.3,
-                                   non_negative=True),
-            "seed": _pick(d, "seed", "task", int, default=0),
-        }
-    if kind == "point_mass":
-        _require_keys(d, {"kind", "target_mean", "target_std", "seed"}, "task")
-        mean = d.get("target_mean", [3.0, 0.0])
-        if not (isinstance(mean, list) and len(mean) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in mean)):
-            raise ConfigError("task.target_mean", f"expected a 2-vector, got {mean!r}")
-        return {
-            "kind": kind,
-            "target_mean": [float(v) for v in mean],
-            "target_std": _pick(d, "target_std", "task", float, default=0.25,
-                                non_negative=True),
-            "seed": _pick(d, "seed", "task", int, default=0),
-        }
-    raise ConfigError("task.kind", f"expected one of ode_harmonic|gmm2d|point_mass, got {kind!r}")
-
-
-def _canon_field(d: dict, input_dim: int) -> dict:
-    _require_keys(d, {"input_dim", "hidden_widths", "time_embed_dim",
-                      "base_frequency", "seed", "zero_init_output"}, "field")
-    widths = d.get("hidden_widths", [128, 128, 128])
-    if not (isinstance(widths, list) and widths
-            and all(isinstance(w, int) and not isinstance(w, bool) and w > 0 for w in widths)):
-        raise ConfigError("field.hidden_widths", f"expected positive integers, got {widths!r}")
-    declared = _pick(d, "input_dim", "field", int, default=input_dim, positive=True)
-    if declared != input_dim:
-        raise ConfigError("field.input_dim",
-                          f"{declared} does not match the task dimension {input_dim}")
-    embed = _pick(d, "time_embed_dim", "field", int, default=32, positive=True)
-    if embed % 2:
-        raise ConfigError("field.time_embed_dim", f"must be even, got {embed}")
-    zero_out = d.get("zero_init_output", False)
-    if not isinstance(zero_out, bool):
-        raise ConfigError("field.zero_init_output", f"expected a boolean, got {zero_out!r}")
-    return {
-        "input_dim": declared,
-        "hidden_widths": widths,
-        "time_embed_dim": embed,
-        "base_frequency": _pick(d, "base_frequency", "field", float, default=1.0e4,
-                                positive=True),
-        "seed": _pick(d, "seed", "field", int, default=0),
-        "zero_init_output": zero_out,
-    }
-
-
-def _canon_train(d: dict) -> dict:
-    _require_keys(d, {"total_steps", "batch_size", "lr0", "seed", "checkpoint_every",
-                      "log_every", "grad_clip", "interpolation", "target_norm"}, "train")
-    out = {
-        "total_steps": _pick(d, "total_steps", "train", int, default=20_000, positive=True),
-        "batch_size": _pick(d, "batch_size", "train", int, default=128, positive=True),
-        "lr0": _pick(d, "lr0", "train", float, default=1e-4, positive=True),
-        "seed": _pick(d, "seed", "train", int, default=0),
-        "checkpoint_every": _pick(d, "checkpoint_every", "train", int, default=0,
-                                  non_negative=True),
-        "log_every": _pick(d, "log_every", "train", int, default=50, positive=True),
-        "grad_clip": None,
-        "interpolation": d.get("interpolation", "interval_ratio"),
-        "target_norm": d.get("target_norm", "sampled_gap"),
-    }
-    clip = d.get("grad_clip")
-    if clip is not None:
-        if isinstance(clip, bool) or not isinstance(clip, (int, float)) or clip <= 0:
-            raise ConfigError("train.grad_clip", f"must be positive or null, got {clip!r}")
-        out["grad_clip"] = float(clip)
-    if out["interpolation"] not in ("interval_ratio", "absolute_time"):
-        raise ConfigError("train.interpolation",
-                          f"expected interval_ratio|absolute_time, got {out['interpolation']!r}")
-    if out["target_norm"] not in ("sampled_gap", "pair_span"):
-        raise ConfigError("train.target_norm",
-                          f"expected sampled_gap|pair_span, got {out['target_norm']!r}")
-    if out["log_every"] > out["total_steps"]:
-        raise ConfigError("train.log_every", "must not exceed train.total_steps")
+    for key, (kind, check) in keys.items():
+        where = f"{path}.{key}"
+        if key not in doc and key not in defaults:
+            raise ConfigError(where, "missing required key")
+        value = _convert(doc[key] if key in doc else defaults[key], kind, where)
+        if check is not None and value is not None and not check[1](value):
+            raise ConfigError(where, f"{check[0]}, got {value!r}")
+        out[key] = value
     return out
 
 
-def _canon_schedule(d: dict, total_steps: int) -> dict:
-    if d is None:
-        # the warmup horizon keeps the full-run ratio of 8:1
-        return {"kind": "warmup", "t_warmup": max(1, total_steps // 8)}
-    kind = d.get("kind")
-    if kind == "constant":
-        _require_keys(d, {"kind", "value"}, "schedule")
-        value = _pick(d, "value", "schedule", float, required=True)
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError("schedule.value", f"must lie in [0, 1], got {value}")
-        return {"kind": "constant", "value": value}
-    if kind == "warmup":
-        _require_keys(d, {"kind", "t_warmup"}, "schedule")
-        return {"kind": "warmup",
-                "t_warmup": _pick(d, "t_warmup", "schedule", int, required=True, positive=True)}
-    raise ConfigError("schedule.kind", f"expected constant|warmup, got {kind!r}")
-
-
-def _canon_time_pairs(d: dict) -> dict:
-    _require_keys(d, {"min_gap", "r_zero_prob"}, "time_pairs")
-    gap = _pick(d, "min_gap", "time_pairs", float, default=1e-3, positive=True)
-    prob = _pick(d, "r_zero_prob", "time_pairs", float, default=0.25, non_negative=True)
-    if gap < 1e-3:
-        raise ConfigError("time_pairs.min_gap", f"must be >= 0.001, got {gap}")
-    if prob > 1.0:
-        raise ConfigError("time_pairs.r_zero_prob", f"must lie in [0, 1], got {prob}")
-    return {"min_gap": gap, "r_zero_prob": prob}
-
-
-def _canon_eval(d: dict) -> dict:
-    _require_keys(d, {"n_samples", "few_step_ns"}, "eval")
-    ns = d.get("few_step_ns", [1, 2, 4, 8])
-    if not (isinstance(ns, list) and ns
-            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in ns)):
-        raise ConfigError("eval.few_step_ns", f"expected integers >= 1, got {ns!r}")
-    return {
-        "n_samples": _pick(d, "n_samples", "eval", int, default=1024, positive=True),
-        "few_step_ns": sorted(set(ns)),
-    }
-
-
-def _canon_diagnose(d: dict) -> dict:
-    _require_keys(d, {"samples", "seed", "identity_tol", "consistency_tol", "slope_tol"},
-                  "diagnose")
-    return {
-        "samples": _pick(d, "samples", "diagnose", int, default=1000, positive=True),
-        "seed": _pick(d, "seed", "diagnose", int, default=0),
-        "identity_tol": _pick(d, "identity_tol", "diagnose", float, default=1e-5,
-                              positive=True),
-        "consistency_tol": _pick(d, "consistency_tol", "diagnose", float, default=1e-5,
-                                 positive=True),
-        "slope_tol": _pick(d, "slope_tol", "diagnose", float, default=0.1, positive=True),
-    }
+def _default_schedule(total_steps: int) -> dict:
+    # the warmup horizon keeps the full-run ratio of 8:1
+    return {"kind": "warmup", "t_warmup": max(1, total_steps // 8)}
 
 
 def canonicalize(doc: dict) -> dict:
     """Materialize every default and validate; returns the canonical config."""
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    _require_keys(doc, {"task", "field", "train", "schedule", "time_pairs",
-                        "eval", "diagnose", "output_dir"}, "<root>")
+    unknown = sorted(set(doc) - set(_SCHEMA) - {"output_dir"})
+    if unknown:
+        raise ConfigError(f"<root>.{unknown[0]}", "unknown key")
     if "task" not in doc:
         raise ConfigError("task", "missing required section")
-    task = _canon_task(doc["task"])
-    field = _canon_field(doc.get("field", {}), input_dim=_task_dim(task))
-    trn = _canon_train(doc.get("train", {}))
-    schedule = _canon_schedule(doc.get("schedule"), trn["total_steps"])
-    out = {
-        "task": task,
-        "field": field,
-        "train": trn,
-        "schedule": schedule,
-        "time_pairs": _canon_time_pairs(doc.get("time_pairs", {})),
-        "eval": _canon_eval(doc.get("eval", {})),
-        "diagnose": _canon_diagnose(doc.get("diagnose", {})),
-        "output_dir": doc.get("output_dir"),
-    }
+    out = {"task": _section(doc["task"], "task")}
+    dim = task_from_dict(out["task"]).dim
+    out["field"] = _section(doc.get("field", {}), "field", input_dim=dim)
+    if out["field"]["input_dim"] != dim:
+        raise ConfigError("field.input_dim",
+                          f"{out['field']['input_dim']} does not match the task dimension {dim}")
+    trn = out["train"] = _section(doc.get("train", {}), "train")
+    if trn["log_every"] > trn["total_steps"]:
+        raise ConfigError("train.log_every", "must not exceed train.total_steps")
+    schedule = doc.get("schedule")
+    out["schedule"] = (_default_schedule(trn["total_steps"]) if schedule is None
+                       else _section(schedule, "schedule"))
+    for name in ("time_pairs", "eval", "diagnose"):
+        out[name] = _section(doc.get(name, {}), name)
+    out["eval"]["few_step_ns"] = sorted(set(out["eval"]["few_step_ns"]))
+    out["output_dir"] = doc.get("output_dir")
     if out["output_dir"] is not None and not isinstance(out["output_dir"], str):
         raise ConfigError("output_dir", "expected a string path")
     return out
-
-
-def _task_dim(task_doc: dict) -> int:
-    if task_doc["kind"] == "ode_harmonic":
-        return task_doc["dim"]
-    return 2
 
 
 def load_config(path) -> dict:
@@ -306,29 +272,10 @@ def config_hash(canonical: dict) -> str:
 
 def _build(config: dict):
     task = task_from_dict(config["task"])
-    field = init_params(FieldConfig(
-        input_dim=config["field"]["input_dim"],
-        hidden_widths=tuple(config["field"]["hidden_widths"]),
-        time_embed_dim=config["field"]["time_embed_dim"],
-        base_frequency=config["field"]["base_frequency"],
-        seed=config["field"]["seed"],
-        zero_init_output=config["field"]["zero_init_output"],
-    ))
-    schedule = schedule_from_dict(config["schedule"])
-    train_cfg = TrainConfig(
-        total_steps=config["train"]["total_steps"],
-        batch_size=config["train"]["batch_size"],
-        lr0=config["train"]["lr0"],
-        schedule=schedule,
-        seed=config["train"]["seed"],
-        task=task,
-        checkpoint_every=config["train"]["checkpoint_every"],
-        log_every=config["train"]["log_every"],
-        time_pairs=TimePairConfig(**config["time_pairs"]),
-        grad_clip=config["train"]["grad_clip"],
-        interpolation=config["train"]["interpolation"],
-        target_norm=config["train"]["target_norm"],
-    )
+    field = init_params(FieldConfig(**config["field"]))
+    train_cfg = TrainConfig(**config["train"], task=task,
+                            schedule=schedule_from_dict(config["schedule"]),
+                            time_pairs=TimePairConfig(**config["time_pairs"]))
     return task, field, train_cfg
 
 
@@ -380,11 +327,23 @@ def _eval_rng(seed: int):
     return np.random.default_rng(np.random.SeedSequence((seed, 0x6576616C)))
 
 
-def _checkpoint_compatible(field, task) -> bool:
+def _load_field(checkpoint, task):
+    """The checkpoint's field, or None (the reason on stderr) if it cannot
+    be read or does not fit the task's dimension."""
+    try:
+        field = load_checkpoint(checkpoint)
+    except (OSError, ValueError, KeyError) as err:
+        print(f"checkpoint error: {err}", file=sys.stderr)
+        return None
     if isinstance(field, VelocityField):
-        return field.config.input_dim == task.dim
-    flow = getattr(field, "flow", None)
-    return flow is None or flow.dim == task.dim
+        fits = field.config.input_dim == task.dim
+    else:
+        flow = getattr(field, "flow", None)
+        fits = flow is None or flow.dim == task.dim
+    if not fits:
+        print("checkpoint is not shape-compatible with the configured task", file=sys.stderr)
+        return None
+    return field
 
 
 def _path_metrics(field, task, pairs, n_steps: int):
@@ -455,14 +414,8 @@ def cmd_train(config_path, out=None, seed=None) -> int:
 def cmd_eval(config_path, checkpoint, out=None) -> int:
     config = load_config(config_path)
     task = task_from_dict(config["task"])
-    try:
-        field = load_checkpoint(checkpoint)
-    except (ValueError, KeyError) as err:
-        print(f"checkpoint error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not _checkpoint_compatible(field, task):
-        print("checkpoint is not shape-compatible with the configured task",
-              file=sys.stderr)
+    field = _load_field(checkpoint, task)
+    if field is None:
         return EXIT_CONFIG
     out_dir = _resolve_out(config, out)
     run = _Run(out_dir, config)
@@ -484,14 +437,8 @@ def cmd_sample(config_path, checkpoint, out=None, seed=None, n_samples=None) -> 
     if seed is not None:
         config["train"]["seed"] = int(seed)
     task = task_from_dict(config["task"])
-    try:
-        field = load_checkpoint(checkpoint)
-    except (ValueError, KeyError) as err:
-        print(f"checkpoint error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not _checkpoint_compatible(field, task):
-        print("checkpoint is not shape-compatible with the configured task",
-              file=sys.stderr)
+    field = _load_field(checkpoint, task)
+    if field is None:
         return EXIT_CONFIG
     out_dir = _resolve_out(config, out)
     run = _Run(out_dir, config)
@@ -516,7 +463,7 @@ def cmd_diagnose(config_path=None, _bracket_sign: float = 1.0) -> int:
     if config_path is not None:
         diag = load_config(config_path)["diagnose"]
     else:
-        diag = _canon_diagnose({})
+        diag = _section({}, "diagnose")
     rng = np.random.default_rng(diag["seed"])
     n = diag["samples"]
 
@@ -594,8 +541,18 @@ def _variant_schedule(name: str, config: dict) -> dict:
     if name == "curriculum":
         if config["schedule"]["kind"] == "warmup":
             return dict(config["schedule"])
-        return {"kind": "warmup", "t_warmup": max(1, config["train"]["total_steps"] // 8)}
+        return _default_schedule(config["train"]["total_steps"])
     raise ValueError(name)
+
+
+def _worker_count(raw, jobs: int, cpus: int) -> int:
+    """Processes for ``jobs`` ablation variants: MMF_THREADS (unset or empty
+    means 1), never more than the jobs or the CPUs."""
+    try:
+        requested = int(raw or "1")
+    except ValueError:
+        raise ConfigError("MMF_THREADS", f"expected an integer, got {raw!r}") from None
+    return max(1, min(requested, jobs, cpus))
 
 
 def _run_ablation_variant(config: dict, name: str, out_dir: str) -> dict:
@@ -635,12 +592,13 @@ def cmd_ablation(config_path, out=None, seed=None) -> int:
     if seed is not None:
         config["train"]["seed"] = int(seed)
     out_dir = _resolve_out(config, out)
+    workers = _worker_count(os.environ.get("MMF_THREADS"), len(ABLATION_VARIANTS),
+                            os.cpu_count() or 1)
     run = _Run(out_dir, config)
 
-    threads = int(os.environ.get("MMF_THREADS", "1") or "1")
     jobs = [(name, os.path.join(out_dir, name)) for name in ABLATION_VARIANTS]
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_ablation_variant, [config] * len(jobs),
                                  [j[0] for j in jobs], [j[1] for j in jobs]))
     else:
@@ -678,21 +636,25 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, needs_checkpoint=False, config_optional=False):
+    flag_options = {
+        "--checkpoint": {"required": True},
+        "--out": {"default": None},
+        "--seed": {"type": int, "default": None},
+        "--n-samples": {"type": int, "default": None},
+    }
+
+    def add(name, *flags, config_optional=False):
         p = sub.add_parser(name)
         p.add_argument("--config", required=not config_optional, default=None)
-        if needs_checkpoint:
-            p.add_argument("--checkpoint", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        return p
+        for flag in flags:
+            p.add_argument(flag, **flag_options[flag])
 
-    add("train")
-    add("eval", needs_checkpoint=True)
-    p_sample = add("sample", needs_checkpoint=True)
-    p_sample.add_argument("--n-samples", type=int, default=None)
+    # each command registers only the flags it reads
+    add("train", "--out", "--seed")
+    add("eval", "--checkpoint", "--out")
+    add("sample", "--checkpoint", "--out", "--seed", "--n-samples")
     add("diagnose", config_optional=True)
-    add("ablation")
+    add("ablation", "--out", "--seed")
 
     args = parser.parse_args(argv)
     try:

@@ -20,7 +20,6 @@ __all__ = [
     "TimeEmbedding",
     "FieldConfig",
     "VelocityField",
-    "embed_time",
     "init_params",
     "save_checkpoint",
     "load_checkpoint",
@@ -67,10 +66,6 @@ class TimeEmbedding:
         ladder = ad.expand_rows(as_tensor(self.frequencies()), b)
         phases = ad.scale_rows(ladder, t)
         return ad.interleave_cols(ad.sin(phases), ad.cos(phases))
-
-
-def embed_time(t: float, cfg: TimeEmbedding) -> np.ndarray:
-    return cfg.embed(t)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import as_tensor, jvp
+from .autodiff import as_tensor, forward_fn, jvp
 
 __all__ = [
     "AnalyticFlow",
@@ -27,8 +27,6 @@ __all__ = [
     "HarmonicFlow",
     "ReferencePath",
     "flow_from_dict",
-    "instantaneous_velocity",
-    "trajectory",
     "rk4_solve",
     "average_velocity_oracle",
     "average_velocity_field",
@@ -167,14 +165,6 @@ def flow_from_dict(d: dict) -> AnalyticFlow:
     if kind == "harmonic":
         return HarmonicFlow(int(d["dim"]))
     raise ValueError(f"unknown analytic flow kind: {kind!r}")
-
-
-def instantaneous_velocity(flow: AnalyticFlow, x, t) -> np.ndarray:
-    return flow.velocity(x, t)
-
-
-def trajectory(flow: AnalyticFlow, x_r, r, t) -> np.ndarray:
-    return flow.trajectory(x_r, r, t)
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +349,6 @@ def average_velocity_field(flow: AnalyticFlow, num_intervals: int = 200,
 # residual calculators
 
 
-def _eval_field(u_eval, x, r, t):
-    fn = u_eval.forward if hasattr(u_eval, "forward") else u_eval
-    return fn(x, r, t)
-
-
-def _eval_field_np(u_eval, x, r, t) -> np.ndarray:
-    out = _eval_field(u_eval, as_tensor(x), as_tensor(r), as_tensor(t))
-    return out.data
-
-
 def identity_residual(u_eval, flow: AnalyticFlow, x_t, r, t,
                       bracket_sign: float = 1.0) -> np.ndarray:
     """Residual of v = u + (t-r) du/dt at (x_t, r, t), batched.
@@ -383,7 +363,7 @@ def identity_residual(u_eval, flow: AnalyticFlow, x_t, r, t,
         raise ValueError("identity residual needs t > r")
     v = flow.velocity(x, t_arr)
     u, du = jvp(
-        lambda X, R, T: _eval_field(u_eval, X, R, T),
+        forward_fn(u_eval),
         [x, r_arr, t_arr],
         [v, np.zeros_like(r_arr), np.ones_like(t_arr)],
     )
@@ -402,10 +382,11 @@ def consistency_residual(u_eval, x_t, r, s, t) -> np.ndarray:
     _, s_arr, _ = _promote(x_t, s, t)
     if np.any(r_arr >= s_arr) or np.any(s_arr >= t_arr):
         raise ValueError("consistency residual needs r < s < t")
-    u_ts = _eval_field_np(u_eval, x, s_arr, t_arr)
+    fn = forward_fn(u_eval)
+    u_ts = fn(as_tensor(x), as_tensor(s_arr), as_tensor(t_arr)).data
     x_s = x - (t_arr - s_arr)[:, None] * u_ts
-    u_rt = _eval_field_np(u_eval, x, r_arr, t_arr)
-    u_rs = _eval_field_np(u_eval, x_s, r_arr, s_arr)
+    u_rt = fn(as_tensor(x), as_tensor(r_arr), as_tensor(t_arr)).data
+    u_rs = fn(as_tensor(x_s), as_tensor(r_arr), as_tensor(s_arr)).data
     return (
         (t_arr - r_arr)[:, None] * u_rt
         - (s_arr - r_arr)[:, None] * u_rs
@@ -422,9 +403,10 @@ def limit_slope(u_eval, flow: AnalyticFlow, x, r, eps_list=(1e-2, 1e-3, 1e-4)):
     """
     x, r_arr, _ = _promote(x, r, r)
     v = flow.velocity(x, r_arr)
+    fn = forward_fn(u_eval)
     errors = []
     for eps in eps_list:
-        u = _eval_field_np(u_eval, x, r_arr, r_arr + eps)
+        u = fn(as_tensor(x), as_tensor(r_arr), as_tensor(r_arr + eps)).data
         errors.append(float(np.mean(np.linalg.norm(u - v, axis=1))))
     slope = float(np.polyfit(np.log(np.asarray(eps_list)), np.log(np.asarray(errors)), 1)[0])
     return np.array(errors), slope

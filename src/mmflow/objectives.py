@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import as_tensor, jvp, sg_lambda
+from .autodiff import as_tensor, forward_fn, jvp, sg_lambda
 
 __all__ = [
     "MIN_GAP_FLOOR",
@@ -28,7 +28,6 @@ __all__ = [
     "TrainingBatch",
     "ConstantSchedule",
     "WarmupSchedule",
-    "lambda_at",
     "schedule_from_dict",
     "sample_time_pairs",
     "interpolate",
@@ -36,16 +35,11 @@ __all__ = [
     "build_batch",
     "loss_lambda",
     "loss_full",
-    "CapabilityError",
 ]
 
 # both denominators (t - r in the target, 1 - r in the interpolation weight)
 # are guarded by this floor; below it single rows dominate the batch loss
 MIN_GAP_FLOOR = 1e-3
-
-
-class CapabilityError(RuntimeError):
-    """Raised when a loss needs engine support that is not available."""
 
 
 @dataclass(frozen=True)
@@ -115,10 +109,6 @@ class WarmupSchedule:
 
     def to_dict(self):
         return {"kind": "warmup", "t_warmup": self.t_warmup}
-
-
-def lambda_at(schedule, step: int) -> float:
-    return schedule.at(step)
 
 
 def schedule_from_dict(d: dict):
@@ -207,10 +197,6 @@ def build_batch(x0, x1, r, t, convention: str = "interval_ratio") -> TrainingBat
 # losses
 
 
-def _forward_fn(field):
-    return field.forward if hasattr(field, "forward") else field
-
-
 def _loss_target(batch: TrainingBatch, target_norm: str) -> np.ndarray:
     """Regression target for the modulated loss family.
 
@@ -247,7 +233,7 @@ def loss_lambda(field, batch: TrainingBatch, lam: float,
     target = _loss_target(batch, target_norm)
     gap = batch.t - batch.r
     u, bracket = jvp(
-        _forward_fn(field),
+        forward_fn(field),
         [batch.x_t, batch.r, batch.t],
         [target, np.zeros_like(batch.r), np.ones_like(batch.t)],
         attach=lam > 0.0,
@@ -269,13 +255,11 @@ def loss_full(field, batch: TrainingBatch, bracket_velocity: str = "field",
     ``bracket_velocity="target"`` the seed is the regression target instead,
     which reduces to the modulated loss at full propagation.
     """
-    if not ad.SECOND_ORDER_SUPPORTED:
-        raise CapabilityError("engine was built without reverse-over-forward support")
     if bracket_velocity not in ("field", "target"):
         raise ValueError(f"unknown bracket velocity source: {bracket_velocity!r}")
     target = _loss_target(batch, target_norm)
     gap = batch.t - batch.r
-    fwd = _forward_fn(field)
+    fwd = forward_fn(field)
     if bracket_velocity == "field":
         seed = fwd(as_tensor(batch.x_t), as_tensor(batch.r), as_tensor(batch.t))
     else:

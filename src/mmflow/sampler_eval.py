@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import as_tensor
+from .autodiff import as_tensor, forward_fn
 
 __all__ = [
     "SamplePath",
@@ -26,20 +26,11 @@ __all__ = [
 ]
 
 
-def _field_fn(field):
-    return field.forward if hasattr(field, "forward") else field
-
-
-def _eval_np(field, x, r, t) -> np.ndarray:
-    out = _field_fn(field)(as_tensor(x), as_tensor(r), as_tensor(t))
-    return out.data
-
-
 class EvalCounter:
     """Wraps a field and counts evaluations (one batched call = one NFE)."""
 
     def __init__(self, field):
-        self._fn = _field_fn(field)
+        self._fn = forward_fn(field)
         self.calls = 0
 
     def forward(self, x, r, t):
@@ -101,7 +92,7 @@ def one_step_sample(field, x1) -> np.ndarray:
     """x0 = x1 - u(x1, 0, 1); exactly one field evaluation for the batch."""
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     b = x1.shape[0]
-    u = _eval_np(field, x1, np.zeros(b), np.ones(b))
+    u = forward_fn(field)(as_tensor(x1), as_tensor(np.zeros(b)), as_tensor(np.ones(b))).data
     return x1 - u
 
 
@@ -116,9 +107,10 @@ def few_step_sample(field, x1, n_steps: int) -> SamplePathSet:
     b = x.shape[0]
     times = np.linspace(1.0, 0.0, n_steps + 1)
     states = [x.copy()]
+    fn = forward_fn(field)
     for k in range(n_steps):
         t_hi, t_lo = times[k], times[k + 1]
-        u = _eval_np(field, x, np.full(b, t_lo), np.full(b, t_hi))
+        u = fn(as_tensor(x), as_tensor(np.full(b, t_lo)), as_tensor(np.full(b, t_hi))).data
         x = x - (t_hi - t_lo) * u
         states.append(x.copy())
     return SamplePathSet(times=times, states=np.stack(states))

@@ -20,8 +20,6 @@ __all__ = [
     "OdeHarmonicTask",
     "PointMassTask",
     "NoReferencePathError",
-    "sample_pair",
-    "reference_path",
     "task_from_dict",
     "pairs_to_csv",
 ]
@@ -167,15 +165,6 @@ class PointMassTask:
             "target_std": self.target_std,
             "seed": self.seed,
         }
-
-
-def sample_pair(task, rng) -> SamplePair:
-    x0, x1 = task.sample_pairs(rng, 1)
-    return SamplePair(x0=x0[0], x1=x1[0])
-
-
-def reference_path(task, pair: SamplePair, grid_len: int) -> ReferencePath:
-    return task.reference_path(pair, grid_len)
 
 
 def task_from_dict(d: dict):

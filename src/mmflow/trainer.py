@@ -15,13 +15,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .field_model import save_checkpoint
 from .objectives import (
     TimePairConfig,
     build_batch,
-    lambda_at,
     loss_lambda,
     sample_time_pairs,
 )
@@ -237,7 +235,7 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
 
     for step in range(config.total_steps):
         batch = batch_fn(data_rng, time_rng, config.batch_size, config.time_pairs)
-        lam = lambda_at(config.schedule, step)
+        lam = config.schedule.at(step)
         lr = cosine_lr(config.lr0, step, config.total_steps)
 
         with Tape():

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import mmflow.cli as cli
 from mmflow.cli import (
     ConfigError,
     canonicalize,
@@ -93,6 +94,8 @@ def test_schedule_defaults_to_eighth_warmup(tmp_path):
     doc["train"]["total_steps"] = 80
     cfg = load_config(write_config(tmp_path, doc))
     assert cfg["schedule"] == {"kind": "warmup", "t_warmup": 10}
+    doc["schedule"] = None
+    assert canonicalize(doc)["schedule"] == {"kind": "warmup", "t_warmup": 10}
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +210,14 @@ def test_cmd_eval_is_read_only(tmp_path):
     assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == before
 
 
+@pytest.mark.parametrize("command", ["eval", "sample"])
+def test_missing_checkpoint_exits_2(tmp_path, capsys, command):
+    config = smoke_config(tmp_path)
+    assert main([command, "--config", str(config), "--checkpoint",
+                 str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")]) == 2
+    assert "checkpoint error" in capsys.readouterr().err
+
+
 def test_cmd_eval_shape_mismatch_exits_2(tmp_path, capsys):
     config = smoke_config(tmp_path)  # task dim 1
     ckpt = oracle_checkpoint(tmp_path, dim=2)
@@ -276,7 +287,7 @@ def test_cmd_ablation_four_rows_and_schedules(tmp_path):
     ]
     # each sub-run's logged modulation column matches its declared schedule
     from mmflow.trainer import TrainLog
-    from mmflow.objectives import lambda_at, schedule_from_dict
+    from mmflow.objectives import schedule_from_dict
 
     for name, sched in [
         ("lambda0", {"kind": "constant", "value": 0.0}),
@@ -287,7 +298,7 @@ def test_cmd_ablation_four_rows_and_schedules(tmp_path):
         log = TrainLog.read_csv(out / name / "trainlog.csv")
         schedule = schedule_from_dict(sched)
         assert all(
-            lam == lambda_at(schedule, step) for step, lam in zip(log.steps, log.lambdas)
+            lam == schedule.at(step) for step, lam in zip(log.steps, log.lambdas)
         )
     manifest = json.loads((out / "run_manifest.json").read_text())
     listed = set(manifest["artifacts"])
@@ -327,8 +338,35 @@ def test_cmd_ablation_parallel_workers_match_serial(tmp_path, monkeypatch):
     assert a == b
 
 
+def test_cmd_ablation_malformed_threads_exits_2_before_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MMF_THREADS", "abc")
+    out = tmp_path / "never"
+    assert main(["ablation", "--config", str(smoke_config(tmp_path)), "--out", str(out)]) == 2
+    assert "MMF_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, jobs, cpus, expected", [
+    (None, 4, 8, 1),
+    ("", 4, 8, 1),
+    ("0", 4, 8, 1),
+    ("-3", 4, 8, 1),
+    ("2", 4, 8, 2),
+    ("3", 4, 2, 2),
+    ("100000", 4, 64, 4),
+])
+def test_worker_count_is_clamped(raw, jobs, cpus, expected):
+    assert cli._worker_count(raw, jobs, cpus) == expected
+
+
+def test_worker_count_rejects_non_integers():
+    for raw in ("abc", "2.5", "1e3"):
+        with pytest.raises(ConfigError) as err:
+            cli._worker_count(raw, 4, 8)
+        assert err.value.path == "MMF_THREADS"
+
+
 def test_cmd_train_numerical_halt_exits_3(tmp_path, monkeypatch):
-    import mmflow.cli as cli
     from mmflow.trainer import TrainLog, TrainResult
 
     def fake_train(field, config, batch_fn=None, out_dir=None):
@@ -361,3 +399,15 @@ def test_main_dispatches_and_exit_codes(tmp_path):
         "--out", str(tmp_path / "m2"),
     ]) == 0
     assert main(["diagnose"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--checkpoint", "c.json", "--seed", "3"],
+    ["diagnose", "--out", "d"],
+    ["diagnose", "--seed", "3"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--config", "cfg.json"] + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

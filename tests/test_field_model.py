@@ -9,7 +9,6 @@ from mmflow.field_model import (
     FieldConfig,
     TimeEmbedding,
     VelocityField,
-    embed_time,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -29,7 +28,7 @@ SMALL = FieldConfig(
 
 def test_embedding_at_zero_alternates_zero_one():
     cfg = TimeEmbedding(dim=10)
-    e = embed_time(0.0, cfg)
+    e = cfg.embed(0.0)
     assert np.array_equal(e, np.tile([0.0, 1.0], 5))
 
 

@@ -11,10 +11,8 @@ from mmflow.meanflow_math import (
     consistency_residual,
     flow_from_dict,
     identity_residual,
-    instantaneous_velocity,
     limit_slope,
     rk4_solve,
-    trajectory,
 )
 
 
@@ -30,19 +28,19 @@ def sample_rt(rng, b, min_gap=1e-3):
 
 def test_constant_velocity_everywhere():
     flow = ConstantFlow([2.0, 0.0])
-    v = instantaneous_velocity(flow, np.array([[5.0, -3.0], [0.0, 0.0]]), 0.7)
+    v = flow.velocity(np.array([[5.0, -3.0], [0.0, 0.0]]), 0.7)
     assert np.array_equal(v, [[2.0, 0.0], [2.0, 0.0]])
 
 
 def test_harmonic_velocity_is_negative_state():
     flow = HarmonicFlow(1)
-    assert instantaneous_velocity(flow, np.array([0.5]), 0.3) == pytest.approx(-0.5)
-    assert instantaneous_velocity(flow, np.array([0.0]), 0.9) == pytest.approx(0.0)
+    assert flow.velocity(np.array([0.5]), 0.3) == pytest.approx(-0.5)
+    assert flow.velocity(np.array([0.0]), 0.9) == pytest.approx(0.0)
 
 
 def test_harmonic_trajectory_matches_rk4_oracle():
     flow = HarmonicFlow(1)
-    end = trajectory(flow, np.array([1.0]), 0.0, 1.0)
+    end = flow.trajectory(np.array([1.0]), 0.0, 1.0)
     path = rk4_solve(flow.velocity, np.array([1.0]), 0.0, 1.0, steps=1000)
     assert abs(float(end[0]) - float(path.states[-1, 0])) < 1e-8
     assert float(end[0]) == pytest.approx(np.exp(-1.0), abs=1e-12)
@@ -51,19 +49,19 @@ def test_harmonic_trajectory_matches_rk4_oracle():
 def test_trajectory_identity_at_equal_times():
     flow = HarmonicFlow(2)
     x = np.array([0.3, -1.2])
-    assert np.array_equal(trajectory(flow, x, 0.4, 0.4), x)
+    assert np.array_equal(flow.trajectory(x, 0.4, 0.4), x)
 
 
 def test_constant_trajectory_linear_motion():
     flow = ConstantFlow([1.0, 1.0])
-    out = trajectory(flow, np.array([0.0, 0.0]), 0.0, 0.5)
+    out = flow.trajectory(np.array([0.0, 0.0]), 0.0, 0.5)
     assert np.allclose(out, [0.5, 0.5])
 
 
 def test_trajectory_backward_solve_allowed():
     flow = HarmonicFlow(1)
-    fwd = trajectory(flow, np.array([1.0]), 0.0, 1.0)
-    back = trajectory(flow, fwd, 1.0, 0.0)
+    fwd = flow.trajectory(np.array([1.0]), 0.0, 1.0)
+    back = flow.trajectory(fwd, 1.0, 0.0)
     assert np.allclose(back, [1.0], atol=1e-12)
 
 

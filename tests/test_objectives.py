@@ -5,13 +5,11 @@ import mmflow.autodiff as ad
 from mmflow.autodiff import Tape, Tensor, as_tensor, backward, jvp, stopgrad
 from mmflow.field_model import FieldConfig, init_params
 from mmflow.objectives import (
-    CapabilityError,
     ConstantSchedule,
     TimePairConfig,
     WarmupSchedule,
     build_batch,
     interpolate,
-    lambda_at,
     loss_full,
     loss_lambda,
     sample_time_pairs,
@@ -136,13 +134,13 @@ def test_target_velocity_rejects_small_gap():
 
 def test_warmup_schedule_paper_horizon():
     sched = WarmupSchedule(t_warmup=100_000)
-    assert lambda_at(sched, 50_000) == pytest.approx(0.5)
-    assert lambda_at(sched, 0) == 0.0
-    assert lambda_at(sched, 200_000) == 1.0
+    assert sched.at(50_000) == pytest.approx(0.5)
+    assert sched.at(0) == 0.0
+    assert sched.at(200_000) == 1.0
 
 
 def test_constant_schedule_and_dict_roundtrip():
-    assert lambda_at(ConstantSchedule(0.25), 123) == 0.25
+    assert ConstantSchedule(0.25).at(123) == 0.25
     for sched in (ConstantSchedule(0.5), WarmupSchedule(10)):
         back = schedule_from_dict(sched.to_dict())
         assert back == sched
@@ -375,15 +373,6 @@ def test_loss_full_gradients_flow_through_bracket_seed():
     fd = central_difference(f, [p.data for p in field.params])
     for p, g in zip(field.params, fd):
         assert rel_err(grads.wrt(p), g) < 1e-4
-
-
-def test_loss_full_respects_capability_flag(monkeypatch):
-    rng = np.random.default_rng(19)
-    batch = make_batch(rng)
-    field = init_params(SMALL)
-    monkeypatch.setattr(ad, "SECOND_ORDER_SUPPORTED", False)
-    with pytest.raises(CapabilityError):
-        loss_full(field, batch)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ from mmflow.tasks import (
     PointMassTask,
     SamplePair,
     pairs_to_csv,
-    reference_path,
-    sample_pair,
     task_from_dict,
 )
 
@@ -76,9 +74,9 @@ def test_ode_harmonic_average_velocity_closed_form_identity():
 
 
 def test_sample_pair_single_draw():
-    pair = sample_pair(OdeHarmonicTask(dim=2, endpoint_noise_std=0.0), np.random.default_rng(0))
-    assert isinstance(pair, SamplePair)
-    assert pair.x0.shape == (2,)
+    x0, x1 = OdeHarmonicTask(dim=2, endpoint_noise_std=0.0).sample_pairs(
+        np.random.default_rng(0), 1)
+    assert x0.shape == x1.shape == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +85,14 @@ def test_sample_pair_single_draw():
 
 def test_ode_reference_path_endpoint():
     pair = SamplePair(x0=np.array([2.0, -1.0]), x1=None)
-    path = reference_path(OdeHarmonicTask(dim=2), pair, grid_len=11)
+    path = OdeHarmonicTask(dim=2).reference_path(pair, grid_len=11)
     assert np.allclose(path.states[-1], pair.x0 * np.exp(-1.0))
     assert np.allclose(path.states[0], pair.x0)
 
 
 def test_point_mass_reference_is_straight_line():
     pair = SamplePair(x0=np.array([0.0, 0.0]), x1=np.array([2.0, 4.0]))
-    path = reference_path(PointMassTask(), pair, grid_len=5)
+    path = PointMassTask().reference_path(pair, grid_len=5)
     assert np.allclose(path.state_at(0.5), [1.0, 2.0])
     assert smoothness(path) == 0.0
 
@@ -102,13 +100,13 @@ def test_point_mass_reference_is_straight_line():
 def test_gmm_has_no_reference_path():
     pair = SamplePair(x0=np.zeros(2), x1=np.zeros(2))
     with pytest.raises(NoReferencePathError):
-        reference_path(Gmm2dTask(), pair, grid_len=5)
+        Gmm2dTask().reference_path(pair, grid_len=5)
 
 
 def test_reference_path_grid_validation():
     pair = SamplePair(x0=np.zeros(2), x1=np.ones(2))
     with pytest.raises(ValueError):
-        reference_path(PointMassTask(), pair, grid_len=1)
+        PointMassTask().reference_path(pair, grid_len=1)
 
 
 # ---------------------------------------------------------------------------

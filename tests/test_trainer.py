@@ -8,7 +8,6 @@ from mmflow.objectives import (
     TimePairConfig,
     WarmupSchedule,
     build_batch,
-    lambda_at,
     loss_lambda,
     sample_time_pairs,
 )
@@ -165,7 +164,7 @@ def test_log_cadence_and_lambda_column():
     expected_steps = [6, 13, 20, 27, 29]
     assert res.log.steps == expected_steps
     for step, lam in zip(res.log.steps, res.log.lambdas):
-        assert lam == lambda_at(sched, step)
+        assert lam == sched.at(step)
     assert res.log.lambdas == sorted(res.log.lambdas)
 
 
