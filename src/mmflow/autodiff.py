@@ -16,6 +16,7 @@ through bit-for-bit and scales adjoints by a factor in [0, 1].
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from typing import Callable, Iterable
 
 import numpy as np
@@ -210,6 +211,8 @@ def forward_fn(field) -> Callable:
 class _Node:
     """One recorded operation: (kind, input ids, output id, adjoint closure).
 
+    ``out_gid`` is a tuple for a multi-output node; its ``backward_fn`` then
+    takes one adjoint per output, ``None`` for an output that received none.
     ``grad_scale`` multiplies the adjoint flowing through this node; it is
     1.0 for ordinary operations and the modulation factor for ``sg_lambda``.
     """
@@ -254,42 +257,45 @@ class Tape:
     def __enter__(self):
         if self.consumed:
             raise RuntimeError("tape already consumed by a backward pass")
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.pop()
-        assert popped is self
+        stack = _TAPE_STACK.get()
+        assert stack[-1] is self
+        _TAPE_STACK.set(stack[:-1])
 
     def __len__(self):
         return len(self.nodes)
 
 
-_TAPE_STACK: list[Tape] = []
-_PAUSE_DEPTH = 0
-_DUAL_ATTACH = False
+# Recording state is per execution context (so per thread): a tape opened
+# on one thread never sees the operations of another.
+_TAPE_STACK: contextvars.ContextVar[tuple] = contextvars.ContextVar("tape_stack", default=())
+_PAUSE_DEPTH = contextvars.ContextVar("pause_depth", default=0)
+_DUAL_ATTACH = contextvars.ContextVar("dual_attach", default=False)
 
 
 def _active_tape():
-    if _PAUSE_DEPTH or not _TAPE_STACK:
+    stack = _TAPE_STACK.get()
+    if _PAUSE_DEPTH.get() or not stack:
         return None
-    return _TAPE_STACK[-1]
+    return stack[-1]
 
 
 @contextlib.contextmanager
 def pause_recording():
     """Suspend recording; operations executed inside produce constants."""
-    global _PAUSE_DEPTH
-    _PAUSE_DEPTH += 1
+    token = _PAUSE_DEPTH.set(_PAUSE_DEPTH.get() + 1)
     try:
         yield
     finally:
-        _PAUSE_DEPTH -= 1
+        _PAUSE_DEPTH.reset(token)
 
 
 def _tangent_ctx():
     # Tangent arithmetic is recorded only when a jvp caller asked for it.
-    if _DUAL_ATTACH:
+    if _DUAL_ATTACH.get():
         return contextlib.nullcontext()
     return pause_recording()
 
@@ -315,6 +321,20 @@ def _emit(kind: str, out: Tensor, inputs: Iterable[Tensor], backward_fn,
     out._gid = tape._new_gid()
     tape.nodes.append(_Node(kind, in_gids, out._gid, backward_fn, grad_scale))
     return out
+
+
+def _emit_multi(tape: Tape, kind: str, outs: tuple, in_gids: tuple, backward_fn):
+    """Record one node with several outputs on ``tape``, the active tape.
+
+    This is the hook for a hand-written op: ``in_gids`` come from
+    ``_gid_on(tape, ...)``, and ``backward_fn(*gs)`` takes one adjoint per
+    output (``None`` for an output that got none) and returns one
+    contribution per input (``None`` to contribute nothing).
+    """
+    for out in outs:
+        out._tape = tape
+        out._gid = tape._new_gid()
+    tape.nodes.append(_Node(kind, in_gids, tuple(o._gid for o in outs), backward_fn))
 
 
 # ---------------------------------------------------------------------------
@@ -755,19 +775,30 @@ def backward(loss: Tensor) -> Gradients:
 
     grads: dict[int, np.ndarray] = {loss._gid: np.ones(())}
     for node in reversed(tape.nodes):
-        g = grads.pop(node.out_gid, None)
-        if g is None:
-            continue
-        if node.grad_scale != 1.0:
-            if node.grad_scale == 0.0:
+        if type(node.out_gid) is tuple:
+            gs = [grads.pop(gid, None) for gid in node.out_gid]
+            if all(g is None for g in gs):
                 continue
-            g = g * node.grad_scale
-        contribs = node.backward_fn(g)
+            contribs = node.backward_fn(*gs)
+        else:
+            g = grads.pop(node.out_gid, None)
+            if g is None:
+                continue
+            if node.grad_scale != 1.0:
+                if node.grad_scale == 0.0:
+                    continue
+                g = g * node.grad_scale
+            contribs = node.backward_fn(g)
         for gid, c in zip(node.in_gids, contribs):
-            if gid is None:
+            if gid is None or c is None:
                 continue
             prev = grads.get(gid)
             grads[gid] = c if prev is None else prev + c
+    # a consumed tape never runs its closures again; drop them and the
+    # activations they hold now rather than when the garbage collector
+    # breaks the tape <-> leaf reference cycle
+    for node in tape.nodes:
+        node.backward_fn = None
     # anything left belongs to leaves (constants never acquire ids)
     return Gradients({k: np.asarray(v, dtype=np.float64) for k, v in grads.items()}, tape)
 
@@ -780,7 +811,6 @@ def jvp(f: Callable, inputs, tangents, attach: bool = False):
     detached constant unless ``attach`` is true, in which case its
     computation is recorded so reverse mode can differentiate through it.
     """
-    global _DUAL_ATTACH
     inputs = [as_tensor(x) for x in inputs]
     tangents = [as_tensor(v) for v in tangents]
     if len(inputs) != len(tangents):
@@ -795,12 +825,11 @@ def jvp(f: Callable, inputs, tangents, attach: bool = False):
                 f"shape {v.shape}"
             )
         duals.append(DualTensor(x, v))
-    prev = _DUAL_ATTACH
-    _DUAL_ATTACH = bool(attach)
+    token = _DUAL_ATTACH.set(bool(attach))
     try:
         out = f(*duals)
     finally:
-        _DUAL_ATTACH = prev
+        _DUAL_ATTACH.reset(token)
     if isinstance(out, DualTensor):
         return out.primal, out.tangent
     out = as_tensor(out)

@@ -23,7 +23,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .field_model import FieldConfig, VelocityField, init_params, load_checkpoint
+from .field_model import (
+    FieldConfig,
+    VelocityField,
+    init_params,
+    load_checkpoint,
+    write_atomic,
+)
 from .meanflow_math import (
     ConstantFlow,
     HarmonicFlow,
@@ -92,7 +98,7 @@ class ConfigError(ValueError):
 _JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
 
 _POSITIVE = ("must be positive", lambda v: v > 0)
-_NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0)
+_NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0)  # also every seed: SeedSequence needs it
 _UNIT = ("must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 
 
@@ -112,18 +118,18 @@ _SCHEMA = {
         "ode_harmonic": (_defaults(OdeHarmonicTask), {
             "dim": (int, _POSITIVE),
             "endpoint_noise_std": (float, _NON_NEGATIVE),
-            "seed": (int, None),
+            "seed": (int, _NON_NEGATIVE),
         }),
         "gmm2d": (_defaults(Gmm2dTask), {
             "components": (int, _POSITIVE),
             "ring_radius": (float, _NON_NEGATIVE),
             "component_std": (float, _NON_NEGATIVE),
-            "seed": (int, None),
+            "seed": (int, _NON_NEGATIVE),
         }),
         "point_mass": (_defaults(PointMassTask), {
             "target_mean": ([float], ("expected a 2-vector", lambda m: len(m) == 2)),
             "target_std": (float, _NON_NEGATIVE),
-            "seed": (int, None),
+            "seed": (int, _NON_NEGATIVE),
         }),
     },
     "field": (_defaults(FieldConfig), {
@@ -131,14 +137,14 @@ _SCHEMA = {
         "hidden_widths": ([int], ("must be positive", lambda ws: min(ws) > 0)),
         "time_embed_dim": (int, ("must be positive and even", lambda d: d > 0 and d % 2 == 0)),
         "base_frequency": (float, _POSITIVE),
-        "seed": (int, None),
+        "seed": (int, _NON_NEGATIVE),
         "zero_init_output": (bool, None),
     }),
     "train": (_defaults(TrainConfig), {
         "total_steps": (int, _POSITIVE),
         "batch_size": (int, _POSITIVE),
         "lr0": (float, _POSITIVE),
-        "seed": (int, None),
+        "seed": (int, _NON_NEGATIVE),
         "checkpoint_every": (int, _NON_NEGATIVE),
         "log_every": (int, _POSITIVE),
         "grad_clip": ((float, None), _POSITIVE),
@@ -160,7 +166,7 @@ _SCHEMA = {
     "diagnose": ({"samples": 1000, "seed": 0, "identity_tol": 1e-5,
                   "consistency_tol": 1e-5, "slope_tol": 0.1}, {
         "samples": (int, _POSITIVE),
-        "seed": (int, None),
+        "seed": (int, _NON_NEGATIVE),
         "identity_tol": (float, _POSITIVE),
         "consistency_tol": (float, _POSITIVE),
         "slope_tol": (float, _POSITIVE),
@@ -307,9 +313,18 @@ class _Run:
             "artifacts": sorted(set(self.artifacts) | {"run_manifest.json"}),
             "tool_version": __version__,
         }
-        with open(os.path.join(self.out_dir, "run_manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2)
+        write_atomic(os.path.join(self.out_dir, "run_manifest.json"),
+                     lambda fh: json.dump(manifest, fh, indent=2))
         return manifest
+
+
+def _override_seed(config: dict, seed):
+    """Apply a ``--seed`` flag to ``train.seed`` under the schema's range check."""
+    if seed is None:
+        return
+    if seed < 0:
+        raise ConfigError("--seed", f"must be >= 0, got {seed}")
+    config["train"]["seed"] = int(seed)
 
 
 def _resolve_out(config: dict, out) -> str:
@@ -389,8 +404,7 @@ def _evaluate_field(field, task, eval_cfg: dict, seed: int):
 
 def cmd_train(config_path, out=None, seed=None) -> int:
     config = load_config(config_path)
-    if seed is not None:
-        config["train"]["seed"] = int(seed)
+    _override_seed(config, seed)
     out_dir = _resolve_out(config, out)
     task, field, train_cfg = _build(config)
     run = _Run(out_dir, config)
@@ -399,8 +413,8 @@ def cmd_train(config_path, out=None, seed=None) -> int:
         run.adopt(ckpt)
     result.log.write_csv(run.path("trainlog.csv"))
     if result.halted:
-        with open(run.path("halt.json"), "w") as fh:
-            json.dump({"halt_step": result.halt_step, "reason": result.halt_reason}, fh)
+        halt = {"halt_step": result.halt_step, "reason": result.halt_reason}
+        write_atomic(run.path("halt.json"), lambda fh: json.dump(halt, fh))
         run.seal()
         print(f"training halted at step {result.halt_step}: {result.halt_reason}",
               file=sys.stderr)
@@ -433,16 +447,17 @@ def cmd_eval(config_path, checkpoint, out=None) -> int:
 
 
 def cmd_sample(config_path, checkpoint, out=None, seed=None, n_samples=None) -> int:
+    if n_samples is not None and n_samples < 1:
+        raise ConfigError("--n-samples", f"must be positive, got {n_samples}")
     config = load_config(config_path)
-    if seed is not None:
-        config["train"]["seed"] = int(seed)
+    _override_seed(config, seed)
     task = task_from_dict(config["task"])
     field = _load_field(checkpoint, task)
     if field is None:
         return EXIT_CONFIG
     out_dir = _resolve_out(config, out)
     run = _Run(out_dir, config)
-    n = n_samples or config["eval"]["n_samples"]
+    n = config["eval"]["n_samples"] if n_samples is None else n_samples
     rng = _eval_rng(config["train"]["seed"])
     _, x1 = task.sample_pairs(rng, n)
     samples = one_step_sample(field, x1)
@@ -589,8 +604,7 @@ def _run_ablation_variant(config: dict, name: str, out_dir: str) -> dict:
 def cmd_ablation(config_path, out=None, seed=None) -> int:
     """Train the four modulation variants from one seed family and compare."""
     config = load_config(config_path)
-    if seed is not None:
-        config["train"]["seed"] = int(seed)
+    _override_seed(config, seed)
     out_dir = _resolve_out(config, out)
     workers = _worker_count(os.environ.get("MMF_THREADS"), len(ABLATION_VARIANTS),
                             os.cpu_count() or 1)

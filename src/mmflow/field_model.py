@@ -1,14 +1,18 @@
 """The learned average-velocity field: an MLP over (state, both times).
 
 Both time arguments get their own sinusoidal embedding and are concatenated
-with the state before the first layer. The forward pass is written entirely
-in tape operations, so it is differentiable in reverse mode (parameters)
-and in forward mode (state/time tangents) alike.
+with the state before the first layer. The forward pass is closed-form
+numpy that carries forward-mode tangents itself and records the whole MLP
+as one tape node with a hand-written reverse pass, so it is differentiable
+in reverse mode (parameters) and in forward mode (state/time tangents)
+alike.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -23,6 +27,7 @@ __all__ = [
     "init_params",
     "save_checkpoint",
     "load_checkpoint",
+    "write_atomic",
 ]
 
 CHECKPOINT_FORMAT = "mmflow-checkpoint"
@@ -113,6 +118,7 @@ class VelocityField:
         self.weights = list(weights)
         self.biases = list(biases)
         self._embedding = TimeEmbedding(config.time_embed_dim, config.base_frequency)
+        self._freqs = self._embedding.frequencies()
 
     @property
     def params(self) -> list:
@@ -123,12 +129,174 @@ class VelocityField:
         return out
 
     def with_params(self, params) -> "VelocityField":
-        weights = [params[2 * i] for i in range(len(self.weights))]
-        biases = [params[2 * i + 1] for i in range(len(self.biases))]
-        return VelocityField(self.config, weights, biases)
+        field = copy.copy(self)  # shares the config and the frequency ladder
+        field.weights = list(params[0::2])
+        field.biases = list(params[1::2])
+        return field
 
     def forward(self, x, r, t):
-        """Evaluate u(x, r, t) for a batch: x [b, d], r [b], t [b]."""
+        """Evaluate u(x, r, t) for a batch: x [b, d], r [b], t [b].
+
+        A closed-form numpy pass. With ``DualTensor`` inputs it returns
+        ``DualTensor(u, du)`` and carries the tangent layer by layer,
+        skipping each block of the first-layer input (x, r embedding,
+        t embedding) whose tangent is all zero. While a tape records, the
+        whole MLP is one node over ``params`` (and x and its tangent, when
+        attached) with a hand-written reverse pass; its outputs are ``u``
+        and, inside ``jvp(..., attach=True)``, ``du``. The primal is
+        bit-for-bit the op-by-op pass of ``_forward_ops``.
+
+        The op-by-op pass runs instead, so that the generic tape
+        differentiates the times, when
+          - ``r`` or ``t`` is attached to the recording tape, or
+          - inside ``jvp(..., attach=True)``, the tangent of ``r`` or ``t``
+            is attached to it.
+        """
+        (xp, dx), (rp, dr), (tp, dt) = (ad._unpack(v) for v in (x, r, t))
+        b = self._check_inputs(xp, rp, tp)
+        dual = dx is not None or dr is not None or dt is not None
+        attach = dual and ad._DUAL_ATTACH.get()
+        tape = ad._active_tape()
+        if tape is not None and (
+            _attached(tape, rp) or _attached(tape, tp)
+            or attach and (_attached(tape, dr) or _attached(tape, dt))
+        ):
+            return self._forward_ops(x, r, t)
+        if tape is not None:
+            in_gids = tuple(ad._gid_on(tape, p) for p in self.params) + (
+                ad._gid_on(tape, xp),
+                ad._gid_on(tape, dx) if attach and dx is not None else None,
+            )
+            if all(g is None for g in in_gids):
+                tape = None
+        record = tape is not None
+        keep_tangent = record and attach
+
+        d, k = self.config.input_dim, self.config.time_embed_dim
+        h = np.empty((b, d + 2 * k))
+        h[:, :d] = xp.data
+        self._embed(rp.data, h[:, d:d + k])
+        self._embed(tp.data, h[:, d + k:])
+        blocks = []  # (first row of W0, tangent block) for non-zero blocks
+        if dual:
+            if dx is not None and dx.data.any():
+                blocks.append((0, dx.data))
+            for lo, tv in ((d, dr), (d + k, dt)):
+                if tv is not None and tv.data.any():
+                    blocks.append((lo, self._embed_tangent(h[:, lo:lo + k], tv.data)))
+
+        # layer inputs, their tangents, tanh slopes 1 - a^2 and pre-activation
+        # tangents, kept only while recording
+        hs, dhs, ss, dzs = [], [], [], []
+        last = len(self.weights) - 1
+        dz = dh = None
+        for i, (w, bias) in enumerate(zip(self.weights, self.biases)):
+            W = w.data
+            z = h @ W
+            z += bias.data
+            if dual:
+                if i == 0:
+                    dz = np.zeros_like(z)
+                    for lo, blk in blocks:
+                        dz += blk @ W[lo:lo + blk.shape[1]]
+                else:
+                    dz = dh @ W
+            if record:
+                hs.append(h)
+                if keep_tangent:
+                    dhs.append(dh)
+            if i != last:
+                np.tanh(z, out=z)
+                if dual:
+                    s = z * z
+                    np.subtract(1.0, s, out=s)
+                    dh = s * dz
+                    if record:
+                        ss.append(s)
+                    if keep_tangent:
+                        dzs.append(dz)
+            h = z
+
+        u = Tensor._wrap(h)
+        du = Tensor._wrap(dz) if dual else None
+        if record:
+            weights = [w.data for w in self.weights]
+
+            def bwd(gu, gdu=None):
+                gz = gu if gu is not None else np.zeros_like(h)
+                gdz = gdu
+                out = [None] * len(in_gids)
+                for i in range(last, -1, -1):
+                    gw = hs[i].T @ gz
+                    if gdz is not None:
+                        if i:
+                            gw += dhs[i].T @ gdz
+                        else:
+                            for lo, blk in blocks:
+                                gw[lo:lo + blk.shape[1]] += blk.T @ gdz
+                    out[2 * i] = gw
+                    out[2 * i + 1] = gz.sum(axis=0)
+                    if i == 0:
+                        break
+                    gh = gz @ weights[i].T
+                    a = hs[i]
+                    if ss:
+                        s = ss[i - 1]
+                    else:
+                        s = a * a
+                        np.subtract(1.0, s, out=s)
+                    if gdz is not None:
+                        # through dh = s * dz with s = 1 - a^2 and ds/dz = -2 a s
+                        gdh = gdz @ weights[i].T
+                        curv = a * dzs[i - 1]
+                        curv *= gdh
+                        curv *= 2.0
+                        gh -= curv
+                        gdh *= s
+                        gdz = gdh
+                    gh *= s
+                    gz = gh
+                if in_gids[-2] is not None:
+                    out[-2] = gz @ weights[0][:d].T
+                if in_gids[-1] is not None and gdz is not None:
+                    out[-1] = gdz @ weights[0][:d].T
+                return out
+
+            ad._emit_multi(tape, "mlp", (u, du) if attach else (u,), in_gids, bwd)
+        return ad.DualTensor(u, du) if dual else u
+
+    __call__ = forward
+
+    def _check_inputs(self, x: Tensor, r: Tensor, t: Tensor) -> int:
+        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
+            raise ad.ShapeMismatchError(
+                f"field forward: expected x of shape [b, {self.config.input_dim}], "
+                f"got {x.shape}"
+            )
+        b = x.shape[0]
+        if r.shape != (b,) or t.shape != (b,):
+            raise ad.ShapeMismatchError(
+                f"field forward: expected r and t of shape [{b}], "
+                f"got {r.shape} and {t.shape}"
+            )
+        return b
+
+    def _embed(self, tv: np.ndarray, out: np.ndarray):
+        """Numpy ``TimeEmbedding.embed_batch`` into ``out``, same rounding."""
+        phases = tv[:, None] * self._freqs
+        out[:, 0::2] = np.sin(phases)
+        out[:, 1::2] = np.cos(phases)
+
+    def _embed_tangent(self, emb: np.ndarray, dtv: np.ndarray) -> np.ndarray:
+        """Tangent of an embedding block ``emb`` under a time tangent ``dtv``."""
+        dphases = dtv[:, None] * self._freqs
+        out = np.empty_like(emb)
+        out[:, 0::2] = emb[:, 1::2] * dphases
+        out[:, 1::2] = -(emb[:, 0::2] * dphases)
+        return out
+
+    def _forward_ops(self, x, r, t):
+        """The same MLP written in tape operations; the oracle of ``forward``."""
         primal = x.primal if isinstance(x, ad.DualTensor) else as_tensor(x)
         if primal.ndim != 2 or primal.shape[1] != self.config.input_dim:
             raise ad.ShapeMismatchError(
@@ -144,7 +312,10 @@ class VelocityField:
                 h = ad.tanh(h)
         return h
 
-    __call__ = forward
+
+def _attached(tape, v) -> bool:
+    """Whether ``v`` has, or on use would get, a graph id on ``tape``."""
+    return v is not None and (v.requires_grad or (v._tape is tape and v._gid is not None))
 
 
 def init_params(config: FieldConfig) -> VelocityField:
@@ -185,9 +356,27 @@ def _state_dict(field: VelocityField) -> dict:
     }
 
 
+def write_atomic(path, write):
+    """Write a text file through ``write(fh)`` so that ``path`` holds its old
+    content or all of the new one, never a part: the text goes to a
+    temporary file in the same directory, which then replaces ``path``.
+    If ``write`` raises, the temporary file is removed and ``path`` is left
+    as it was."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(field: VelocityField, path):
-    with open(path, "w") as fh:
-        json.dump(_state_dict(field), fh)
+    state = _state_dict(field)
+    write_atomic(path, lambda fh: json.dump(state, fh))
 
 
 def load_checkpoint(path):

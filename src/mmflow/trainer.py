@@ -76,23 +76,25 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    m: list
-    v2: list
+    """Adam moments as flat float64 vectors over the concatenated
+    parameters, and the step count. ``adam_step`` updates the moments in
+    place and reuses ``work`` for its temporaries: a fresh temporary of
+    this size is fresh memory from the allocator, and its page faults cost
+    more than the arithmetic."""
+
+    m: np.ndarray
+    v2: np.ndarray
     step: int
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    work: Optional[np.ndarray] = dc_field(default=None, repr=False, compare=False)
 
     @classmethod
     def init(cls, params, beta1=0.9, beta2=0.999, eps=1e-8) -> "OptimizerState":
-        return cls(
-            m=[np.zeros(p.shape) for p in params],
-            v2=[np.zeros(p.shape) for p in params],
-            step=0,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+        n = sum(p.size for p in params)
+        return cls(m=np.zeros(n), v2=np.zeros(n), step=0,
+                   beta1=beta1, beta2=beta2, eps=eps)
 
 
 def cosine_lr(lr0: float, step: int, total_steps: int) -> float:
@@ -102,41 +104,68 @@ def cosine_lr(lr0: float, step: int, total_steps: int) -> float:
     return lr0 * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
 
 
-def adam_step(state: OptimizerState, params, grads, lr: float):
-    """One bias-corrected Adam update; returns (new state, new params).
+def _flat(arrays) -> np.ndarray:
+    """One flat vector from per-parameter arrays; a flat vector passes through."""
+    if isinstance(arrays, np.ndarray):
+        return arrays
+    return np.concatenate([np.ravel(a) for a in arrays])
 
-    The bias correction is folded into the step size
-    (lr * sqrt(1 - b2^t) / (1 - b1^t)) with eps added to the uncorrected
-    root. Non-finite gradients abort the step: the exception carries the
-    event and both state and parameters stay untouched.
+
+def adam_step(state: OptimizerState, params, grads, lr: float):
+    """One bias-corrected Adam update; returns (state, new params).
+
+    ``grads`` is one array per parameter or their concatenation. The
+    moments in ``state`` are updated in place; the new parameters are
+    read-only views into one new flat vector. The bias correction is folded
+    into the step size (lr * sqrt(1 - b2^t) / (1 - b1^t)) with eps added to
+    the uncorrected root. Non-finite gradients abort the step before
+    anything is written: the exception carries the event and both state and
+    parameters stay untouched.
     """
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient in parameter {i}")
+    g = _flat(grads)
+    finite = np.isfinite(g)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        index = int(np.searchsorted(np.cumsum([p.size for p in params]), bad, side="right"))
+        raise NonFiniteGradientError(f"non-finite gradient in parameter {index}")
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     step_size = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
-    new_m, new_v2, new_params = [], [], []
-    for p, g, m, v2 in zip(params, grads, state.m, state.v2):
-        m = b1 * m + (1.0 - b1) * g
-        v2 = b2 * v2 + (1.0 - b2) * g * g
-        new_m.append(m)
-        new_v2.append(v2)
-        new_params.append(
-            Tensor(p.data - step_size * m / (np.sqrt(v2) + state.eps), requires_grad=True)
-        )
-    new_state = OptimizerState(
-        m=new_m, v2=new_v2, step=t, beta1=b1, beta2=b2, eps=state.eps
-    )
-    return new_state, new_params
+    m, v2 = state.m, state.v2
+    if state.work is None:
+        state.work = np.empty((2, m.size))
+    # in place, with the rounding of m = b1*m + (1-b1)*g,
+    # v2 = b2*v2 + (1-b2)*g*g and p - step_size*m / (sqrt(v2) + eps)
+    work, denom = state.work
+    np.multiply(g, 1.0 - b1, out=work)
+    m *= b1
+    m += work
+    np.multiply(g, 1.0 - b2, out=work)
+    work *= g
+    v2 *= b2
+    v2 += work
+    np.sqrt(v2, out=denom)
+    denom += state.eps
+    np.multiply(m, step_size, out=work)
+    work /= denom
+    flat = _flat([p.data for p in params])
+    flat -= work
+    flat.flags.writeable = False
+    state.step = t
+    new_params, offset = [], 0
+    for p in params:
+        view = Tensor._wrap(flat[offset:offset + p.size].reshape(p.shape))
+        view.requires_grad = True
+        new_params.append(view)
+        offset += p.size
+    return state, new_params
 
 
 def global_grad_norm(grads) -> float:
-    """2-norm over the concatenation of all gradient tensors."""
-    total = 0.0
-    for g in grads:
-        total += float(np.sum(np.square(g)))
-    return float(np.sqrt(total))
+    """2-norm over the concatenation of all gradient tensors (or of one
+    flat gradient vector)."""
+    g = _flat(grads)
+    return float(np.sqrt(g @ g))
 
 
 @dataclass
@@ -223,6 +252,7 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
 
     params = field.params
     state = OptimizerState.init(params)
+    grad = np.empty_like(state.m)  # every step's gradient, reused (see OptimizerState)
     log = TrainLog()
     checkpoints = []
 
@@ -247,13 +277,12 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
                 halt_reason=f"non-finite loss at step {step}",
             )
         grads = backward(loss)
-        grad_list = [grads.wrt(p) for p in params]
-        grad_norm = global_grad_norm(grad_list)
+        np.concatenate([grads.wrt(p).ravel() for p in params], out=grad)
+        grad_norm = global_grad_norm(grad)
         if config.grad_clip is not None and grad_norm > config.grad_clip:
-            scale = config.grad_clip / grad_norm
-            grad_list = [g * scale for g in grad_list]
+            grad *= config.grad_clip / grad_norm
         try:
-            state, params = adam_step(state, params, grad_list, lr)
+            state, params = adam_step(state, params, grad, lr)
         except NonFiniteGradientError as err:
             return TrainResult(
                 field, log, checkpoints, halted=True, halt_step=step,

@@ -398,6 +398,16 @@ def test_backward_rejects_non_scalar_loss():
         backward(y)
 
 
+def test_backward_releases_the_adjoint_closures():
+    # they hold the forward activations; a consumed tape never runs them again
+    x = param([1.0, 2.0])
+    with Tape() as tape:
+        loss = ad.sum_all(ad.square(ad.tanh(x)))
+    backward(loss)
+    assert len(tape) == 3
+    assert all(node.backward_fn is None for node in tape.nodes)
+
+
 def test_backward_consumes_tape():
     x = param(1.0)
     with Tape():
@@ -534,3 +544,99 @@ def test_reverse_over_forward_second_order():
         loss = ad.add(tangent, 0.0)
     grads = backward(loss)
     assert grads.wrt(x) == pytest.approx(12.0)
+
+
+# ---------------------------------------------------------------------------
+# recording state is per thread
+
+
+def test_tape_on_one_thread_does_not_record_another_threads_work():
+    import threading
+
+    from mmflow.field_model import FieldConfig, init_params
+    from mmflow.sampler_eval import one_step_sample
+
+    field = init_params(FieldConfig(input_dim=2, hidden_widths=(8, 8), time_embed_dim=4,
+                                    base_frequency=10.0, seed=0))
+    x1 = np.random.default_rng(0).normal(size=(16, 2))
+    expected = one_step_sample(field, x1)
+    entered, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def worker():
+        entered.wait(timeout=10)
+        seen["x0"] = one_step_sample(field, x1)
+        x = param([1.0, 2.0])
+        ad.sum_all(ad.square(x))  # recorded nowhere: this thread has no tape
+        seen["gid"] = x._gid
+        release.set()
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    with Tape() as tape:
+        entered.set()
+        release.wait(timeout=10)
+        seen["len"] = len(tape)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen["len"] == 0
+    assert seen["gid"] is None
+    assert all(p._tape is not tape for p in field.params)
+    assert np.array_equal(seen["x0"], expected)
+
+
+def test_jvp_attach_flag_does_not_leak_across_threads():
+    import threading
+
+    seen = {}
+    started, done = threading.Event(), threading.Event()
+
+    def other():
+        started.wait(timeout=10)
+        seen["attached"] = ad._DUAL_ATTACH.get()
+        done.set()
+
+    def f(x):
+        started.set()
+        done.wait(timeout=10)
+        return ad.square(x)
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    jvp(f, [np.array([1.0])], [np.array([1.0])], attach=True)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen["attached"] is False
+
+
+def test_concurrent_tapes_each_see_only_their_own_thread():
+    import sys
+    import threading
+
+    results, errors = {}, []
+
+    def worker(k):
+        try:
+            for _ in range(50):
+                x = param(np.full(3, float(k)))
+                with Tape() as tape:
+                    loss = ad.sum_all(ad.square(ad.mul(x, x)))
+                assert len(tape) == 3
+                g = backward(loss).wrt(x)  # d/dx sum x^4 = 4 x^3
+                assert np.array_equal(g, np.full(3, 4.0 * k**3))
+            results[k] = True
+        except Exception as err:  # reported below with the thread's index
+            errors.append((k, err))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(1, 7)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and sorted(results) == list(range(1, 7))

@@ -241,6 +241,36 @@ def test_cmd_sample_writes_samples(tmp_path):
     assert "samples.csv" in manifest["artifacts"]
 
 
+@pytest.mark.parametrize("n", ["-5", "0"])
+def test_cmd_sample_rejects_non_positive_n_before_writing(tmp_path, capsys, n):
+    config = smoke_config(tmp_path)
+    ckpt = oracle_checkpoint(tmp_path)
+    out = tmp_path / "never"
+    assert main(["sample", "--config", str(config), "--checkpoint", str(ckpt),
+                 "--out", str(out), "--n-samples", n]) == 2
+    assert "--n-samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "ablation"])
+def test_negative_seed_flag_exits_2_before_writing(tmp_path, capsys, command):
+    config = smoke_config(tmp_path)
+    out = tmp_path / "never"
+    extra = ["--checkpoint", str(oracle_checkpoint(tmp_path))] if command == "sample" else []
+    assert main([command, "--config", str(config), "--out", str(out), "--seed", "-3",
+                 *extra]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_config_seed_exits_2(tmp_path, capsys):
+    config = smoke_config(tmp_path, field={"hidden_widths": [8, 8], "time_embed_dim": 4,
+                                           "base_frequency": 10.0, "seed": -1})
+    assert main(["train", "--config", str(config)]) == 2
+    assert "field.seed" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # diagnose command
 
@@ -384,6 +414,36 @@ def test_cmd_train_numerical_halt_exits_3(tmp_path, monkeypatch):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert "halt.json" in manifest["artifacts"]
     assert "trainlog.csv" in manifest["artifacts"]
+
+
+def test_manifest_and_halt_are_replaced_atomically(tmp_path, monkeypatch):
+    # a serializer that fails half way leaves each file as it was
+    config = load_config(smoke_config(tmp_path))
+    run = cli._Run(str(tmp_path / "atomic"), config)
+    run.seal()
+    before = (tmp_path / "atomic" / "run_manifest.json").read_bytes()
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"config_hash": "trunc')
+        raise RuntimeError("serializer failed")
+
+    monkeypatch.setattr(cli.json, "dump", broken_dump)
+    with pytest.raises(RuntimeError):
+        run.seal()
+    assert (tmp_path / "atomic" / "run_manifest.json").read_bytes() == before
+
+    from mmflow.trainer import TrainLog, TrainResult
+
+    def halting_train(field, config, batch_fn=None, out_dir=None):
+        return TrainResult(field, TrainLog(), [], halted=True, halt_step=0,
+                           halt_reason="non-finite loss at step 0")
+
+    monkeypatch.setattr(cli, "train", halting_train)
+    out = tmp_path / "halted"
+    with pytest.raises(RuntimeError):
+        cmd_train(smoke_config(tmp_path), out=str(out))
+    assert sorted(p.name for p in out.iterdir()) == ["trainlog.csv"]
+    assert sorted(p.name for p in (tmp_path / "atomic").iterdir()) == ["run_manifest.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,16 @@ NOT_A_NUMBER = [
     (_key("time_pairs", "min_gap", float("nan")), "time_pairs.min_gap"),
     (_key("task", "ring_radius", float("nan"), GMM), "task.ring_radius"),
 ]
-CASES = INVALID + NON_OBJECT + NOT_A_NUMBER
+# np.random.SeedSequence rejects negative entropy, so every seed must be >= 0
+NEGATIVE_SEED = [
+    (_key("task", "seed", -1), "task.seed"),
+    (_key("task", "seed", -1, GMM), "task.seed"),
+    (_key("task", "seed", -1, POINT), "task.seed"),
+    (_key("field", "seed", -1), "field.seed"),
+    (_key("train", "seed", -3), "train.seed"),
+    (_key("diagnose", "seed", -2), "diagnose.seed"),
+]
+CASES = INVALID + NON_OBJECT + NOT_A_NUMBER + NEGATIVE_SEED
 
 
 @pytest.mark.parametrize("doc, path", CASES, ids=[f"{p}-{i}" for i, (_, p) in enumerate(CASES)])

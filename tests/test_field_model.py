@@ -12,6 +12,7 @@ from mmflow.field_model import (
     init_params,
     load_checkpoint,
     save_checkpoint,
+    write_atomic,
 )
 
 from helpers import central_difference, rel_err
@@ -237,6 +238,42 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.config == field.config
     for a, b in zip(field.params, loaded.params):
         assert np.array_equal(a.data, b.data)
+
+
+def test_write_atomic_never_leaves_a_partial_file(tmp_path):
+    path = tmp_path / "doc.txt"
+
+    def failing(fh):
+        fh.write("partial")
+        raise RuntimeError("write failed")
+
+    with pytest.raises(RuntimeError):
+        write_atomic(path, failing)
+    assert list(tmp_path.iterdir()) == []
+    write_atomic(path, lambda fh: fh.write("old"))
+    with pytest.raises(RuntimeError):
+        write_atomic(path, failing)
+    assert path.read_text() == "old"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_checkpoint_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    import mmflow.field_model as fm
+
+    field = init_params(SMALL)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(field, path)
+    before = path.read_bytes()
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"format": "mmflow-checkpoint", "params": [')
+        raise RuntimeError("serializer failed")
+
+    monkeypatch.setattr(fm.json, "dump", broken_dump)
+    with pytest.raises(RuntimeError):
+        save_checkpoint(field, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):

@@ -104,8 +104,80 @@ def test_adam_aborts_on_non_finite_gradient():
     assert state.step == 0
 
 
+def test_adam_state_is_flat_and_parameters_are_views_of_one_vector():
+    params = params_of(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, -0.5]))
+    state = OptimizerState.init(params)
+    m, v2 = state.m, state.v2
+    assert m.shape == v2.shape == (6,)
+    state, new = adam_step(state, params, [np.ones((2, 2)), np.array([0.5, -1.0])], lr=0.1)
+    assert state.m is m and state.v2 is v2  # updated in place
+    base = new[0].data.base
+    assert base is not None and base.shape == (6,)
+    assert all(p.data.base is base for p in new)
+    assert [p.shape for p in new] == [(2, 2), (2,)]
+    assert all(p.requires_grad and not p.data.flags.writeable for p in new)
+    assert np.array_equal(np.concatenate([p.data.ravel() for p in new]), base)
+
+
+def test_adam_flat_gradient_equals_per_parameter_gradients():
+    def run(as_flat):
+        params = params_of(np.array([0.3, 0.7]), np.array([[1.0], [-1.0]]))
+        state = OptimizerState.init(params)
+        for g in ([np.array([0.1, -0.2]), np.array([[0.4], [0.1]])],
+                  [np.array([-0.3, 0.2]), np.array([[0.0], [2.0]])]):
+            g = np.concatenate([a.ravel() for a in g]) if as_flat else g
+            state, params = adam_step(state, params, g, lr=0.05)
+        return [p.data for p in params], state
+
+    (a, sa), (b, sb) = run(False), run(True)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert np.array_equal(sa.m, sb.m) and np.array_equal(sa.v2, sb.v2)
+
+
+def test_adam_non_finite_gradient_leaves_moments_untouched():
+    params = params_of(np.array([1.0, 2.0]), np.array([3.0]))
+    state = OptimizerState.init(params)
+    state, params = adam_step(state, params, [np.array([0.1, 0.2]), np.array([0.3])], lr=0.1)
+    m, v2 = state.m.copy(), state.v2.copy()
+    with pytest.raises(NonFiniteGradientError, match="parameter 1"):
+        adam_step(state, params, [np.array([0.1, 0.2]), np.array([np.inf])], lr=0.1)
+    assert np.array_equal(state.m, m) and np.array_equal(state.v2, v2)
+    assert state.step == 1
+
+
 # ---------------------------------------------------------------------------
 # training loop
+
+
+def test_each_step_calls_the_traced_functions_once_in_order(monkeypatch):
+    # per-layer step tracing opens a step at the batch draw and closes it at
+    # adam_step, and attributes jvp/backward/grad-norm time in between
+    import mmflow.objectives as objectives
+    import mmflow.trainer as trainer_mod
+
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(OdeHarmonicTask, "sample_pairs")
+    counted(trainer_mod, "loss_lambda")
+    counted(objectives, "jvp")
+    counted(trainer_mod, "backward")
+    counted(trainer_mod, "global_grad_norm")
+    counted(trainer_mod, "adam_step")
+    task = OdeHarmonicTask(dim=2, endpoint_noise_std=0.01)
+    cfg = TrainConfig(total_steps=3, batch_size=8, lr0=1e-3, schedule=WarmupSchedule(2),
+                      seed=0, task=task, log_every=1)
+    train(init_params(SMALL_FIELD), cfg)
+    step = ["sample_pairs", "loss_lambda", "jvp", "backward", "global_grad_norm", "adam_step"]
+    assert calls == step * 3
 
 
 def test_train_zero_steps_returns_field_unchanged():
