@@ -239,7 +239,6 @@ class Tape:
         self.nodes: list[_Node] = []
         self.consumed = False
         self._next_gid = 0
-        self._leaves: dict[int, Tensor] = {}
 
     def _new_gid(self) -> int:
         gid = self._next_gid
@@ -251,7 +250,6 @@ class Tape:
         if tensor._tape is not self:
             tensor._tape = self
             tensor._gid = self._new_gid()
-            self._leaves[tensor._gid] = tensor
         return tensor._gid
 
     def __enter__(self):
@@ -747,15 +745,6 @@ class Gradients:
         if tensor._tape is self._tape and tensor._gid in self._by_gid:
             return self._by_gid[tensor._gid]
         return np.zeros(tensor.shape)
-
-    def __getitem__(self, gid: int) -> Tensor:
-        return Tensor._wrap(self._by_gid[gid])
-
-    def __contains__(self, gid: int) -> bool:
-        return gid in self._by_gid
-
-    def __len__(self):
-        return len(self._by_gid)
 
 
 def backward(loss: Tensor) -> Gradients:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
 import datetime
 import hashlib
 import inspect
@@ -72,6 +73,7 @@ __all__ = [
     "cmd_sample",
     "cmd_diagnose",
     "cmd_ablation",
+    "run_ablation",
     "main",
 ]
 
@@ -286,14 +288,14 @@ def _build(config: dict):
 
 
 class _Run:
-    """Tracks artifacts written to an output directory and seals a manifest."""
+    """Tracks artifacts written to an output directory and seals a manifest.
+    The directory is made when the first artifact path is asked for."""
 
     def __init__(self, out_dir, config: dict):
         self.out_dir = out_dir
         self.config = config
         self.artifacts = []
         self.started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        os.makedirs(out_dir, exist_ok=True)
 
     def path(self, *rel) -> str:
         full = os.path.join(self.out_dir, *rel)
@@ -305,17 +307,33 @@ class _Run:
         self.artifacts.append(os.path.relpath(full_path, self.out_dir))
 
     def seal(self):
+        path = self.path("run_manifest.json")
         manifest = {
             "config_hash": config_hash(self.config),
             "seed": self.config["train"]["seed"],
             "started_at": self.started_at,
             "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "artifacts": sorted(set(self.artifacts) | {"run_manifest.json"}),
+            "artifacts": sorted(set(self.artifacts)),
             "tool_version": __version__,
         }
-        write_atomic(os.path.join(self.out_dir, "run_manifest.json"),
-                     lambda fh: json.dump(manifest, fh, indent=2))
+        write_atomic(path, lambda fh: json.dump(manifest, fh, indent=2))
         return manifest
+
+
+def _train_into(run: _Run, config: dict):
+    """Train a canonical config into ``run``'s directory: the checkpoints,
+    ``trainlog.csv`` and, on a numerical halt, ``halt.json``. Returns the
+    task and the ``TrainResult``."""
+    task, field, train_cfg = _build(config)
+    os.makedirs(run.out_dir, exist_ok=True)
+    result = train(field, train_cfg, out_dir=run.out_dir)
+    for ckpt in result.checkpoints:
+        run.adopt(ckpt)
+    result.log.write_csv(run.path("trainlog.csv"))
+    if result.halted:
+        halt = {"halt_step": result.halt_step, "reason": result.halt_reason}
+        write_atomic(run.path("halt.json"), lambda fh: json.dump(halt, fh))
+    return task, result
 
 
 def _override_seed(config: dict, seed):
@@ -405,22 +423,14 @@ def _evaluate_field(field, task, eval_cfg: dict, seed: int):
 def cmd_train(config_path, out=None, seed=None) -> int:
     config = load_config(config_path)
     _override_seed(config, seed)
-    out_dir = _resolve_out(config, out)
-    task, field, train_cfg = _build(config)
-    run = _Run(out_dir, config)
-    result = train(field, train_cfg, out_dir=out_dir)
-    for ckpt in result.checkpoints:
-        run.adopt(ckpt)
-    result.log.write_csv(run.path("trainlog.csv"))
+    run = _Run(_resolve_out(config, out), config)
+    _, result = _train_into(run, config)
+    run.seal()
     if result.halted:
-        halt = {"halt_step": result.halt_step, "reason": result.halt_reason}
-        write_atomic(run.path("halt.json"), lambda fh: json.dump(halt, fh))
-        run.seal()
         print(f"training halted at step {result.halt_step}: {result.halt_reason}",
               file=sys.stderr)
         return EXIT_NUMERICAL
-    run.seal()
-    print(f"trained {train_cfg.total_steps} steps; final loss "
+    print(f"trained {config['train']['total_steps']} steps; final loss "
           f"{result.log.losses[-1]:.6g}" if len(result.log) else "trained 0 steps")
     return EXIT_OK
 
@@ -434,8 +444,7 @@ def cmd_eval(config_path, checkpoint, out=None) -> int:
     out_dir = _resolve_out(config, out)
     run = _Run(out_dir, config)
     metrics = _evaluate_field(field, task, config["eval"], config["train"]["seed"])
-    with open(run.path("metrics.json"), "w") as fh:
-        json.dump(metrics, fh, indent=2)
+    write_atomic(run.path("metrics.json"), lambda fh: json.dump(metrics, fh, indent=2))
     rng = _eval_rng(config["train"]["seed"])
     _, x1 = task.sample_pairs(rng, 1)
     for n in config["eval"]["few_step_ns"]:
@@ -461,10 +470,13 @@ def cmd_sample(config_path, checkpoint, out=None, seed=None, n_samples=None) -> 
     rng = _eval_rng(config["train"]["seed"])
     _, x1 = task.sample_pairs(rng, n)
     samples = one_step_sample(field, x1)
-    with open(run.path("samples.csv"), "w") as fh:
+
+    def write_samples(fh):
         fh.write(",".join(f"x{j}" for j in range(samples.shape[1])) + "\n")
         for row in samples:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+    write_atomic(run.path("samples.csv"), write_samples)
     for k in config["eval"]["few_step_ns"]:
         paths = few_step_sample(field, x1[:1], k)
         paths.path(0).write_csv(run.path(f"sample_path_n{k}.csv"))
@@ -543,21 +555,14 @@ def cmd_diagnose(config_path=None, _bracket_sign: float = 1.0) -> int:
     return EXIT_OK
 
 
-ABLATION_VARIANTS = ("lambda0", "lambda05", "lambda1", "curriculum")
-
-
-def _variant_schedule(name: str, config: dict) -> dict:
-    if name == "lambda0":
-        return {"kind": "constant", "value": 0.0}
-    if name == "lambda05":
-        return {"kind": "constant", "value": 0.5}
-    if name == "lambda1":
-        return {"kind": "constant", "value": 1.0}
-    if name == "curriculum":
-        if config["schedule"]["kind"] == "warmup":
-            return dict(config["schedule"])
-        return _default_schedule(config["train"]["total_steps"])
-    raise ValueError(name)
+# variant name -> schedule; None is the config's warmup schedule, or the
+# default one when the config's is constant
+ABLATION_VARIANTS = {
+    "lambda0": {"kind": "constant", "value": 0.0},
+    "lambda05": {"kind": "constant", "value": 0.5},
+    "lambda1": {"kind": "constant", "value": 1.0},
+    "curriculum": None,
+}
 
 
 def _worker_count(raw, jobs: int, cpus: int) -> int:
@@ -570,59 +575,86 @@ def _worker_count(raw, jobs: int, cpus: int) -> int:
     return max(1, min(requested, jobs, cpus))
 
 
-def _run_ablation_variant(config: dict, name: str, out_dir: str) -> dict:
-    """Train one ablation variant and collect its metric row."""
-    sub = dict(config)
-    sub["schedule"] = _variant_schedule(name, config)
-    task, field, train_cfg = _build(sub)
-    os.makedirs(out_dir, exist_ok=True)
-    result = train(field, train_cfg, out_dir=out_dir)
-    result.log.write_csv(os.path.join(out_dir, "trainlog.csv"))
-    artifacts = [os.path.join(name, "trainlog.csv")] + [
-        os.path.join(name, os.path.basename(p)) for p in result.checkpoints
-    ]
-    row = {
+def _openblas(name: str):
+    """The function ``openblas_<name>`` of the OpenBLAS this process has
+    loaded, or None when none is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:  # e.g. a library replaced on disk: "<path> (deleted)"
+            continue
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _one_blas_thread():
+    """Pool initializer: a forked worker keeps the parent's BLAS thread
+    count, so workers would share the cores between them."""
+    set_threads = _openblas("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+def _pool(workers: int):
+    return concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                  initializer=_one_blas_thread)
+
+
+def _ablation_variant(config: dict, name: str, out_dir: str) -> dict:
+    """Train and score one variant in ``out_dir/name``; its metric row."""
+    schedule = ABLATION_VARIANTS[name]
+    if schedule is None:
+        schedule = (config["schedule"] if config["schedule"]["kind"] == "warmup"
+                    else _default_schedule(config["train"]["total_steps"]))
+    run = _Run(os.path.join(out_dir, name), config)
+    task, result = _train_into(run, {**config, "schedule": schedule})
+    tail_start = config["train"]["total_steps"] - 2000
+    window = sum(1 for step in result.log.steps if step >= tail_start)
+    metrics = _evaluate_field(result.field, task, config["eval"], config["train"]["seed"])
+    return {
         "variant": name,
         "final_loss": result.log.losses[-1] if len(result.log) else float("nan"),
         "halted": result.halted,
+        "loss_variance": (loss_variance(result.log, window)
+                          if window >= 2 and not result.halted else float("nan")),
+        **{key: metrics[key] for key in ("one_step_mse", "d_path", "energy_distance")},
+        "artifacts": [os.path.join(name, rel) for rel in run.artifacts],
     }
-    window_steps = min(2000, train_cfg.total_steps)
-    rows_in_window = [s for s in result.log.steps
-                      if s >= train_cfg.total_steps - window_steps]
-    if len(rows_in_window) >= 2 and not result.halted:
-        row["loss_variance"] = loss_variance(result.log, len(rows_in_window))
-    else:
-        row["loss_variance"] = float("nan")
-    metrics = _evaluate_field(result.field, task, config["eval"], config["train"]["seed"])
-    row["one_step_mse"] = metrics["one_step_mse"]
-    row["d_path"] = metrics["d_path"]
-    row["energy_distance"] = metrics["energy_distance"]
-    row["artifacts"] = artifacts
-    return row
+
+
+def run_ablation(config: dict, out_dir) -> list:
+    """Train and score every ``ABLATION_VARIANTS`` entry of a canonical config
+    into ``out_dir/<variant>``, in up to ``MMF_THREADS`` worker processes.
+    Returns one metric row per variant, in order; each row lists its files
+    under ``artifacts``, relative to ``out_dir``."""
+    names = list(ABLATION_VARIANTS)
+    workers = _worker_count(os.environ.get("MMF_THREADS"), len(names), os.cpu_count() or 1)
+    jobs = ([config] * len(names), names, [out_dir] * len(names))
+    if workers == 1:
+        return list(map(_ablation_variant, *jobs))
+    with _pool(workers) as pool:
+        return list(pool.map(_ablation_variant, *jobs))
 
 
 def cmd_ablation(config_path, out=None, seed=None) -> int:
     """Train the four modulation variants from one seed family and compare."""
     config = load_config(config_path)
     _override_seed(config, seed)
-    out_dir = _resolve_out(config, out)
-    workers = _worker_count(os.environ.get("MMF_THREADS"), len(ABLATION_VARIANTS),
-                            os.cpu_count() or 1)
-    run = _Run(out_dir, config)
-
-    jobs = [(name, os.path.join(out_dir, name)) for name in ABLATION_VARIANTS]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_ablation_variant, [config] * len(jobs),
-                                 [j[0] for j in jobs], [j[1] for j in jobs]))
-    else:
-        rows = [_run_ablation_variant(config, name, sub) for name, sub in jobs]
-
+    run = _Run(_resolve_out(config, out), config)
+    rows = run_ablation(config, run.out_dir)
     for row in rows:
-        for rel in row.pop("artifacts"):
-            run.artifacts.append(rel)
-    csv_path = run.path("ablation.csv")
-    with open(csv_path, "w") as fh:
+        run.artifacts += row.pop("artifacts")
+
+    def write_csv(fh):
         fh.write("variant,final_loss,loss_variance,one_step_mse,d_path,energy_distance\n")
         for row in rows:
             d_path = "" if row["d_path"] is None else f"{row['d_path']:.17g}"
@@ -630,6 +662,9 @@ def cmd_ablation(config_path, out=None, seed=None) -> int:
                 f"{row['variant']},{row['final_loss']:.17g},{row['loss_variance']:.17g},"
                 f"{row['one_step_mse']:.17g},{d_path},{row['energy_distance']:.17g}\n"
             )
+
+    csv_path = run.path("ablation.csv")
+    write_atomic(csv_path, write_csv)
     run.seal()
     halted = [r["variant"] for r in rows if r["halted"]]
     if halted:

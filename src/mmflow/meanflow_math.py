@@ -88,14 +88,6 @@ class AnalyticFlow:
     def average_velocity_op(self, x, r, t):
         raise NotImplementedError(f"{self.kind} flow has no closed-form average velocity")
 
-    @property
-    def supports_ops(self) -> bool:
-        try:
-            self.velocity_op(as_tensor(np.zeros((1, self.dim))), as_tensor(np.zeros(1)))
-            return True
-        except NotImplementedError:
-            return False
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}
 

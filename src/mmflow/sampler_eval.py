@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import as_tensor, forward_fn
+from .field_model import write_atomic
 
 __all__ = [
     "SamplePath",
@@ -60,10 +61,12 @@ class SamplePath:
         return self.states.shape[1]
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
+        def write(fh):
             fh.write(",".join(["t"] + [f"x{j}" for j in range(self.dim)]) + "\n")
             for ti, row in zip(self.times, self.states):
                 fh.write(",".join([f"{ti:.17g}"] + [f"{v:.17g}" for v in row]) + "\n")
+
+        write_atomic(path, write)
 
 
 @dataclass
@@ -83,9 +86,6 @@ class SamplePathSet:
 
     def path(self, i: int) -> SamplePath:
         return SamplePath(times=self.times.copy(), states=self.states[:, i, :].copy())
-
-    def paths(self):
-        return [self.path(i) for i in range(self.n_samples)]
 
 
 def one_step_sample(field, x1) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward
-from .field_model import save_checkpoint
+from .field_model import save_checkpoint, write_atomic
 from .objectives import (
     TimePairConfig,
     build_batch,
@@ -163,9 +163,10 @@ def adam_step(state: OptimizerState, params, grads, lr: float):
 
 def global_grad_norm(grads) -> float:
     """2-norm over the concatenation of all gradient tensors (or of one
-    flat gradient vector)."""
+    flat gradient vector), summed by ``einsum``: OpenBLAS splits a long
+    dot across its threads, so ``g @ g`` rounds by the BLAS thread count."""
     g = _flat(grads)
-    return float(np.sqrt(g @ g))
+    return float(np.sqrt(np.einsum("i,i->", g, g)))
 
 
 @dataclass
@@ -191,10 +192,12 @@ class TrainLog:
         return len(self.steps)
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
+        def write(fh):
             fh.write("step,loss,grad_norm,lambda,lr\n")
             for row in zip(self.steps, self.losses, self.grad_norms, self.lambdas, self.lrs):
                 fh.write(f"{row[0]}," + ",".join(f"{v:.17g}" for v in row[1:]) + "\n")
+
+        write_atomic(path, write)
 
     @classmethod
     def read_csv(cls, path) -> "TrainLog":

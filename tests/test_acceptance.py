@@ -191,6 +191,7 @@ def test_criterion_6_one_step_exactness():
 # criterion 7: the full desk-scale training recipe
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_training():
     task = OdeHarmonicTask(dim=2, endpoint_noise_std=0.01, seed=100)
     field = init_params(FieldConfig(
@@ -289,6 +290,7 @@ def _median(campaign, task, variant, key):
     return float(np.median([e[key] for e in campaign[task][variant]]))
 
 
+@pytest.mark.slow
 def test_criterion_8_ablation_ordering(ablation_campaign):
     lines = []
     ok = True
@@ -323,6 +325,7 @@ def test_criterion_8_ablation_ordering(ablation_campaign):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_path_quality(ablation_campaign):
     ode = ablation_campaign["ode"]
     d_curr = float(np.median([e["d_path"] for e in ode["curriculum"]]))

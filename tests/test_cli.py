@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 import os
@@ -339,6 +340,43 @@ def test_cmd_ablation_four_rows_and_schedules(tmp_path):
     assert listed == on_disk
 
 
+def test_cmd_ablation_variants_match_cmd_train_bytes(tmp_path):
+    # a variant is `mmf train` on the same config with the variant's schedule
+    config = smoke_config(tmp_path, schedule={"kind": "warmup", "t_warmup": 12})
+    assert cmd_ablation(config, out=str(tmp_path / "ablation")) == 0
+    doc = json.loads(config.read_text())
+    for name, schedule in [
+        ("lambda0", {"kind": "constant", "value": 0.0}),
+        ("lambda05", {"kind": "constant", "value": 0.5}),
+        ("lambda1", {"kind": "constant", "value": 1.0}),
+        ("curriculum", {"kind": "warmup", "t_warmup": 12}),
+    ]:
+        single = write_config(tmp_path, {**doc, "schedule": schedule}, name=f"{name}.json")
+        assert cmd_train(single, out=str(tmp_path / name)) == 0
+        for artifact in ("trainlog.csv", "ckpt_final.json"):
+            assert ((tmp_path / "ablation" / name / artifact).read_bytes()
+                    == (tmp_path / name / artifact).read_bytes()), (name, artifact)
+
+
+def test_cmd_ablation_halt_writes_halt_json_per_variant(tmp_path, monkeypatch):
+    from mmflow.trainer import TrainLog, TrainResult
+
+    def halting_train(field, config, batch_fn=None, out_dir=None):
+        log = TrainLog()
+        log.append(0, 1.0, 1.0, 0.0, 1e-3)
+        return TrainResult(field, log, [], halted=True, halt_step=1,
+                           halt_reason="non-finite loss at step 1")
+
+    monkeypatch.setattr(cli, "train", halting_train)
+    out = tmp_path / "halted"
+    assert main(["ablation", "--config", str(smoke_config(tmp_path)), "--out", str(out)]) == 3
+    listed = set(json.loads((out / "run_manifest.json").read_text())["artifacts"])
+    for name in ("lambda0", "lambda05", "lambda1", "curriculum"):
+        halt = json.loads((out / name / "halt.json").read_text())
+        assert halt == {"halt_step": 1, "reason": "non-finite loss at step 1"}
+        assert os.path.join(name, "halt.json") in listed
+
+
 def test_cmd_ablation_paired_data_streams(tmp_path):
     # identical seeds mean identical batches: the modulation factor is the
     # only difference, so the first pre-update loss row must agree
@@ -357,15 +395,29 @@ def test_cmd_ablation_paired_data_streams(tmp_path):
 
 
 def test_cmd_ablation_parallel_workers_match_serial(tmp_path, monkeypatch):
-    config = smoke_config(tmp_path, train={
-        "total_steps": 8, "batch_size": 8, "lr0": 1e-3, "seed": 11, "log_every": 2,
+    # workers run one BLAS thread, the serial process its default; a net
+    # above 10k parameters makes OpenBLAS split long dot products, and a
+    # clip below every grad norm feeds the norm into each update
+    config = smoke_config(tmp_path, field={
+        "hidden_widths": [128, 96], "time_embed_dim": 4, "base_frequency": 10.0, "seed": 1,
+    }, train={
+        "total_steps": 8, "batch_size": 8, "lr0": 1e-3, "seed": 11, "log_every": 1,
+        "grad_clip": 1e-4,
     }, eval={"n_samples": 8, "few_step_ns": [2]})
     assert cmd_ablation(config, out=str(tmp_path / "serial")) == 0
     monkeypatch.setenv("MMF_THREADS", "2")
     assert cmd_ablation(config, out=str(tmp_path / "parallel")) == 0
-    a = (tmp_path / "serial" / "ablation.csv").read_bytes()
-    b = (tmp_path / "parallel" / "ablation.csv").read_bytes()
-    assert a == b
+    from mmflow.trainer import TrainLog
+
+    for rel in ["ablation.csv"] + [
+        os.path.join(name, artifact) for name in cli.ABLATION_VARIANTS
+        for artifact in ("trainlog.csv", "ckpt_final.json")
+    ]:
+        a = (tmp_path / "serial" / rel).read_bytes()
+        b = (tmp_path / "parallel" / rel).read_bytes()
+        assert a == b, rel
+    log = TrainLog.read_csv(tmp_path / "serial" / "lambda0" / "trainlog.csv")
+    assert min(log.grad_norms) > 1e-4
 
 
 def test_cmd_ablation_malformed_threads_exits_2_before_writing(tmp_path, monkeypatch, capsys):
@@ -387,6 +439,19 @@ def test_cmd_ablation_malformed_threads_exits_2_before_writing(tmp_path, monkeyp
 ])
 def test_worker_count_is_clamped(raw, jobs, cpus, expected):
     assert cli._worker_count(raw, jobs, cpus) == expected
+
+
+def _blas_threads():
+    get_threads = cli._openblas("get_num_threads")
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads()
+
+
+def test_ablation_pool_workers_use_one_blas_thread():
+    if cli._openblas("get_num_threads") is None:
+        pytest.skip("numpy is not linked against OpenBLAS here")
+    with cli._pool(1) as pool:
+        assert pool.submit(_blas_threads).result(timeout=60) == 1
 
 
 def test_worker_count_rejects_non_integers():
@@ -444,6 +509,55 @@ def test_manifest_and_halt_are_replaced_atomically(tmp_path, monkeypatch):
         cmd_train(smoke_config(tmp_path), out=str(out))
     assert sorted(p.name for p in out.iterdir()) == ["trainlog.csv"]
     assert sorted(p.name for p in (tmp_path / "atomic").iterdir()) == ["run_manifest.json"]
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("train", "trainlog.csv"),
+    ("eval", "metrics.json"),
+    ("eval", "sample_path_n4.csv"),
+    ("sample", "samples.csv"),
+    ("sample", "sample_path_n1.csv"),
+    ("ablation", "ablation.csv"),
+    ("ablation", os.path.join("lambda05", "trainlog.csv")),
+])
+def test_artifact_writer_failing_half_way_keeps_previous_file(tmp_path, monkeypatch,
+                                                               command, artifact):
+    out = tmp_path / "out"
+    previous = out / artifact
+    previous.parent.mkdir(parents=True)
+    previous.write_text("previous\n")
+    real_open = open
+
+    class FailsOnSecondWrite:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("disk full")
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        # the artifact itself, or a temporary file beside it
+        if "w" in mode and os.fspath(path).startswith(str(previous)):
+            return FailsOnSecondWrite(fh)
+        return fh
+
+    monkeypatch.setattr("builtins.open", failing_open)
+    extra = ["--checkpoint", str(oracle_checkpoint(tmp_path))] if command in ("eval", "sample") else []
+    with pytest.raises(OSError, match="disk full"):
+        main([command, "--config", str(smoke_config(tmp_path)), "--out", str(out), *extra])
+    assert previous.read_text() == "previous\n"
+    assert sorted(p.name for p in previous.parent.iterdir()
+                  if p.name.startswith(previous.name)) == [previous.name]
 
 
 # ---------------------------------------------------------------------------

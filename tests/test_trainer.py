@@ -255,6 +255,29 @@ def test_logged_grad_norm_matches_independent_accumulation():
     assert abs(global_grad_norm(glist) - direct) < 1e-12
 
 
+def test_global_grad_norm_does_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product longer than 10k entries across threads
+    import ctypes
+    from mmflow.cli import _openblas
+
+    get_threads, set_threads = _openblas("get_num_threads"), _openblas("set_num_threads")
+    if get_threads is None or set_threads is None:
+        pytest.skip("numpy is not linked against OpenBLAS here")
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    rng = np.random.default_rng(7)
+    grads = [rng.normal(size=37_000) * scale for scale in np.geomspace(1e-3, 10.0, 20)]
+    before = get_threads()
+    try:
+        set_threads(1)
+        one = [global_grad_norm(g) for g in grads]
+        set_threads(2)
+        two = [global_grad_norm(g) for g in grads]
+    finally:
+        set_threads(before)
+    assert one == two
+
+
 def test_train_halts_on_non_finite_loss_with_partial_log():
     field = init_params(SMALL_FIELD)
 
