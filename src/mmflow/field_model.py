@@ -376,7 +376,8 @@ def write_atomic(path, write):
 
 def save_checkpoint(field: VelocityField, path):
     state = _state_dict(field)
-    write_atomic(path, lambda fh: json.dump(state, fh))
+    # one dumps + write: json.dump would run the pure-Python iterencode
+    write_atomic(path, lambda fh: fh.write(json.dumps(state)))
 
 
 def load_checkpoint(path):

@@ -17,7 +17,6 @@ from .field_model import write_atomic
 __all__ = [
     "SamplePath",
     "SamplePathSet",
-    "EvalCounter",
     "one_step_sample",
     "few_step_sample",
     "path_deviation",
@@ -25,18 +24,6 @@ __all__ = [
     "one_step_mse",
     "energy_distance",
 ]
-
-
-class EvalCounter:
-    """Wraps a field and counts evaluations (one batched call = one NFE)."""
-
-    def __init__(self, field):
-        self._fn = forward_fn(field)
-        self.calls = 0
-
-    def forward(self, x, r, t):
-        self.calls += 1
-        return self._fn(x, r, t)
 
 
 @dataclass
@@ -150,11 +137,35 @@ def one_step_mse(field, task, n_samples: int, rng) -> float:
 
 
 def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> float:
+    """Mean Euclidean distance over all (row of a, row of b) pairs.
+
+    For each block of ``chunk`` rows of ``a`` the squared distances to every
+    row of ``b`` are built one coordinate at a time in two ``[chunk, n_b]``
+    buffers: coordinate 0 squared, then each further coordinate's square
+    added in place, then one in-place sqrt and one sum. The additions run in
+    the order of a sum over the coordinate axis, so the value is the one the
+    ``[chunk, n_b, d]`` difference tensor would give (bitwise for d < 8),
+    without the 3-D temporaries.
+    """
+    n_a, d = a.shape
+    n_b = b.shape[0]
+    # one allocation for both buffers: at 2048 columns it is large enough for
+    # malloc to map it and unmap it on free, where two halves can stay
+    # resident in the heap and raise the peak RSS of the caller
+    dist, term = np.empty((2, min(chunk, n_a), n_b))
     total = 0.0
-    for i in range(0, a.shape[0], chunk):
-        block = a[i:i + chunk, None, :] - b[None, :, :]
-        total += float(np.sum(np.sqrt(np.sum(block * block, axis=2))))
-    return total / (a.shape[0] * b.shape[0])
+    for i in range(0, n_a, chunk):
+        blk = a[i:i + chunk]
+        acc, tmp = dist[:len(blk)], term[:len(blk)]
+        np.subtract.outer(blk[:, 0], b[:, 0], out=acc)
+        np.multiply(acc, acc, out=acc)
+        for j in range(1, d):
+            np.subtract.outer(blk[:, j], b[:, j], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            acc += tmp
+        np.sqrt(acc, out=acc)
+        total += float(np.sum(acc))
+    return total / (n_a * n_b)
 
 
 def energy_distance(a, b) -> float:
@@ -165,6 +176,9 @@ def energy_distance(a, b) -> float:
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    for name, x in (("a", a), ("b", b)):
+        if x.size == 0:
+            raise ValueError(f"energy_distance: {name} is empty (shape {x.shape})")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     ab = _mean_pairwise_distance(a, b)

@@ -21,7 +21,6 @@ __all__ = [
     "PointMassTask",
     "NoReferencePathError",
     "task_from_dict",
-    "pairs_to_csv",
 ]
 
 
@@ -178,15 +177,3 @@ def task_from_dict(d: dict):
         raise ValueError(f"unknown task kind: {kind!r}")
     kwargs = {k: v for k, v in d.items() if k != "kind"}
     return kinds[kind](**kwargs)
-
-
-def pairs_to_csv(x0: np.ndarray, x1: np.ndarray, path):
-    """Export paired endpoints with header x0_0..,x1_0.. at full precision."""
-    x0 = np.atleast_2d(x0)
-    x1 = np.atleast_2d(x1)
-    d = x0.shape[1]
-    header = ",".join([f"x0_{j}" for j in range(d)] + [f"x1_{j}" for j in range(d)])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for a, b in zip(x0, x1):
-            fh.write(",".join(f"{v:.17g}" for v in np.concatenate([a, b])) + "\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from mmflow.autodiff import forward_fn
+
 
 def central_difference(f, arrays, h=1e-5):
     """Central finite differences of a scalar function of several arrays.
@@ -29,3 +31,15 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     return float(np.max(np.abs(a - b) / denom))
+
+
+class EvalCounter:
+    """Wraps a field and counts evaluations (one batched call = one NFE)."""
+
+    def __init__(self, field):
+        self._fn = forward_fn(field)
+        self.calls = 0
+
+    def forward(self, x, r, t):
+        self.calls += 1
+        return self._fn(x, r, t)

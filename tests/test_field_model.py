@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from mmflow.field_model import (
     FieldConfig,
     TimeEmbedding,
     VelocityField,
+    _state_dict,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -240,6 +242,15 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(a.data, b.data)
 
 
+def test_checkpoint_bytes_are_the_stdlib_json_dump_of_the_state(tmp_path):
+    field = init_params(FieldConfig(input_dim=2, seed=7))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(field, path)
+    expected = io.StringIO()
+    json.dump(_state_dict(field), expected)
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
 def test_write_atomic_never_leaves_a_partial_file(tmp_path):
     path = tmp_path / "doc.txt"
 
@@ -265,11 +276,10 @@ def test_failed_checkpoint_save_keeps_the_previous_checkpoint(tmp_path, monkeypa
     save_checkpoint(field, path)
     before = path.read_bytes()
 
-    def broken_dump(obj, fh, **kwargs):
-        fh.write('{"format": "mmflow-checkpoint", "params": [')
+    def broken_dumps(obj, **kwargs):
         raise RuntimeError("serializer failed")
 
-    monkeypatch.setattr(fm.json, "dump", broken_dump)
+    monkeypatch.setattr(fm.json, "dumps", broken_dumps)
     with pytest.raises(RuntimeError):
         save_checkpoint(field, path)
     assert path.read_bytes() == before

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from mmflow.meanflow_math import (
     rk4_solve,
 )
 from mmflow.sampler_eval import (
-    EvalCounter,
     SamplePath,
     energy_distance,
     few_step_sample,
@@ -22,6 +22,8 @@ from mmflow.sampler_eval import (
     smoothness,
 )
 from mmflow.tasks import OdeHarmonicTask
+
+from helpers import EvalCounter
 
 
 def zero_field(x, r, t):
@@ -231,7 +233,7 @@ def test_one_step_mse_stable_under_sample_doubling():
 def test_energy_distance_identical_sets_is_zero():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(64, 2))
-    assert energy_distance(a, a.copy()) == pytest.approx(0.0, abs=1e-12)
+    assert energy_distance(a, a.copy()) == 0.0
 
 
 def test_energy_distance_two_point_masses():
@@ -267,3 +269,68 @@ def test_energy_distance_matches_closed_form_gaussians():
 def test_energy_distance_dimension_mismatch():
     with pytest.raises(ValueError):
         energy_distance(np.zeros((4, 2)), np.zeros((4, 3)))
+
+
+def _energy_distance_3d(a, b, chunk=256):
+    """The difference-tensor formula: per 256-row block of the first set a
+    [chunk, n_b, d] tensor of coordinate differences, summed over d."""
+
+    def mean_distance(x, y):
+        total = 0.0
+        for i in range(0, x.shape[0], chunk):
+            block = x[i:i + chunk, None, :] - y[None, :, :]
+            total += float(np.sum(np.sqrt(np.sum(block * block, axis=2))))
+        return total / (x.shape[0] * y.shape[0])
+
+    return 2.0 * mean_distance(a, b) - mean_distance(a, a) - mean_distance(b, b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_energy_distance_bitwise_equals_the_difference_tensor_formula(d):
+    rng = np.random.default_rng(10 + d)
+    a = rng.normal(size=(600, d))
+    b = rng.normal(size=(300, d)) + 0.25
+    assert energy_distance(a, b) == _energy_distance_3d(a, b)
+
+
+def test_energy_distance_nine_coordinates_matches_the_difference_tensor_formula():
+    # from 8 coordinates numpy's axis sum adds in unrolled partial sums, so
+    # only the rounding of the coordinate sum may differ
+    rng = np.random.default_rng(19)
+    a = rng.normal(size=(600, 9))
+    b = rng.normal(size=(300, 9)) + 0.25
+    expected = _energy_distance_3d(a, b)
+    assert abs(energy_distance(a, b) - expected) <= 1e-14 * abs(expected)
+
+
+@pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, 257), (257, 1), (257, 513), (513, 257)])
+def test_energy_distance_across_block_boundaries(n_a, n_b):
+    rng = np.random.default_rng(n_a + n_b)
+    a = rng.normal(size=(n_a, 2))
+    b = rng.normal(size=(n_b, 2)) - 0.5
+    assert energy_distance(a, b) == _energy_distance_3d(a, b)
+    assert energy_distance(a, a.copy()) == 0.0
+    assert energy_distance(b, b.copy()) == 0.0
+
+
+def test_energy_distance_has_no_pairwise_3d_temporaries():
+    # two [256, 2048] float64 buffers are 8.4 MB; one [256, 2048, 2]
+    # difference tensor alone is 8.4 MB, and the formula holds two at a time
+    rng = np.random.default_rng(20)
+    a = rng.normal(size=(2048, 2))
+    b = rng.normal(size=(2048, 2))
+    tracemalloc.start()
+    try:
+        energy_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_energy_distance_rejects_an_empty_set(side):
+    sets = {"a": np.ones((3, 2)), "b": np.ones((4, 2))}
+    sets[side] = np.zeros((0, 2))
+    with pytest.raises(ValueError, match=f"{side} is empty"):
+        energy_distance(sets["a"], sets["b"])

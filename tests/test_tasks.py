@@ -8,7 +8,6 @@ from mmflow.tasks import (
     OdeHarmonicTask,
     PointMassTask,
     SamplePair,
-    pairs_to_csv,
     task_from_dict,
 )
 
@@ -123,16 +122,3 @@ def test_task_dict_roundtrip():
         assert clone.to_dict() == task.to_dict()
     with pytest.raises(ValueError):
         task_from_dict({"kind": "spiral"})
-
-
-def test_pairs_csv_export(tmp_path):
-    rng = np.random.default_rng(6)
-    x0, x1 = OdeHarmonicTask(dim=2).sample_pairs(rng, 3)
-    f = tmp_path / "pairs.csv"
-    pairs_to_csv(x0, x1, f)
-    lines = f.read_text().splitlines()
-    assert lines[0] == "x0_0,x0_1,x1_0,x1_1"
-    assert len(lines) == 4
-    back = np.genfromtxt(f, delimiter=",", skip_header=1)
-    assert np.array_equal(back[:, :2], x0)
-    assert np.array_equal(back[:, 2:], x1)
