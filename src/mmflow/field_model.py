@@ -146,11 +146,9 @@ class VelocityField:
         and, inside ``jvp(..., attach=True)``, ``du``. The primal is
         bit-for-bit the op-by-op pass of ``_forward_ops``.
 
-        The op-by-op pass runs instead, so that the generic tape
-        differentiates the times, when
-          - ``r`` or ``t`` is attached to the recording tape, or
-          - inside ``jvp(..., attach=True)``, the tangent of ``r`` or ``t``
-            is attached to it.
+        The times are never differentiated in reverse mode: ``ValueError``
+        is raised when ``r`` or ``t`` is attached to the recording tape, or,
+        inside ``jvp(..., attach=True)``, when their tangent is.
         """
         (xp, dx), (rp, dr), (tp, dt) = (ad._unpack(v) for v in (x, r, t))
         b = self._check_inputs(xp, rp, tp)
@@ -161,7 +159,10 @@ class VelocityField:
             _attached(tape, rp) or _attached(tape, tp)
             or attach and (_attached(tape, dr) or _attached(tape, dt))
         ):
-            return self._forward_ops(x, r, t)
+            raise ValueError(
+                "field forward: r, t and their tangents must not be attached "
+                "to the recording tape"
+            )
         if tape is not None:
             in_gids = tuple(ad._gid_on(tape, p) for p in self.params) + (
                 ad._gid_on(tape, xp),
@@ -380,38 +381,48 @@ def save_checkpoint(field: VelocityField, path):
     write_atomic(path, lambda fh: fh.write(json.dumps(state)))
 
 
+def _load_section(name, build, *args):
+    """``build(*args)``; a malformed value surfaces as a ``ValueError`` that
+    names the checkpoint section ``name``."""
+    try:
+        return build(*args)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        detail = f"missing key {err}" if isinstance(err, KeyError) else err
+        raise ValueError(f"checkpoint {name}: malformed ({detail})") from None
+
+
+def _param_arrays(stored, config: FieldConfig) -> list:
+    """The stored parameter arrays, checked against ``config.layer_sizes``."""
+    sizes = config.layer_sizes
+    shapes = [s for n_in, n_out in zip(sizes, sizes[1:]) for s in ((n_in, n_out), (n_out,))]
+    if not isinstance(stored, list) or len(stored) != len(shapes):
+        raise ValueError(f"expected a list of {len(shapes)} parameter tensors")
+    arrays = []
+    for shape, item in zip(shapes, stored):
+        if tuple(item["shape"]) != shape:
+            raise ValueError(f"shape {item['shape']} does not match model shape {shape}")
+        arrays.append(np.array(item["data"], dtype=np.float64).reshape(shape))
+    return arrays
+
+
 def load_checkpoint(path):
-    """Load a checkpoint; returns a VelocityField or an oracle field adapter."""
+    """Load a checkpoint; returns a VelocityField or an oracle field adapter.
+
+    A malformed file raises ``ValueError`` naming the bad section.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a recognized checkpoint file: {path}")
     kind = doc.get("kind", "mlp")
     if kind == "mlp":
-        config = FieldConfig.from_dict(doc["config"])
-        field = init_params(config)
-        stored = doc["params"]
-        if len(stored) != len(field.params):
-            raise ValueError(
-                f"checkpoint has {len(stored)} parameter tensors, "
-                f"expected {len(field.params)}"
-            )
-        params = []
-        for p, item in zip(field.params, stored):
-            shape = tuple(item["shape"])
-            if shape != p.shape:
-                raise ValueError(
-                    f"checkpoint parameter shape {shape} does not match model "
-                    f"shape {p.shape}"
-                )
-            arr = np.array(item["data"], dtype=np.float64).reshape(shape)
-            params.append(Tensor(arr, requires_grad=True))
-        return field.with_params(params)
+        config = _load_section("config", FieldConfig.from_dict, doc.get("config"))
+        arrays = _load_section("params", _param_arrays, doc.get("params"), config)
+        params = [Tensor(a, requires_grad=True) for a in arrays]
+        return VelocityField(config, params[0::2], params[1::2])
     if kind == "analytic_oracle":
         from . import meanflow_math as mm
 
-        flow = mm.flow_from_dict(doc["flow"])
-        return mm.average_velocity_field(
-            flow, num_intervals=int(doc.get("quad_intervals", 200))
-        )
+        # any other entry is ignored, so files from older versions still load
+        return mm.OracleField(_load_section("flow", mm.flow_from_dict, doc.get("flow")))
     raise ValueError(f"unknown checkpoint kind: {kind!r}")

@@ -2,9 +2,12 @@
 
 Two analytic flows are provided: a constant drift and the gradient flow of
 the quadratic potential (velocity -x, exponential decay paths). Each knows
-its instantaneous velocity and trajectory in closed form, both as plain
-numpy and as tape operations so that the true average velocity can be
-differentiated with a Jacobian-vector product.
+its instantaneous velocity and trajectory in closed form as plain numpy,
+and its average velocity in closed form as tape operations, so that the
+analytic oracle ``OracleField`` can be differentiated with a
+Jacobian-vector product. One Simpson rule, ``average_velocity_oracle``,
+integrates the velocity along the numpy trajectory; it is the independent
+reference that the closed forms are checked against.
 
 The residual calculators measure how far a candidate field is from
 satisfying the differential identity tying average to instantaneous
@@ -63,29 +66,11 @@ class AnalyticFlow:
         raise NotImplementedError
 
     def trajectory(self, x_from, t_from, t_to) -> np.ndarray:
-        """State transported from time t_from to t_to (either direction).
-
-        Flows without a closed form fall back to a fine RK4 solve, which
-        requires shared start/end times across the batch.
-        """
-        x, t0, t1 = _promote(x_from, t_from, t_to)
-        if not (np.all(t0 == t0[0]) and np.all(t1 == t1[0])):
-            raise ValueError("RK4 fallback requires shared start/end times per batch")
-        if t0[0] == t1[0]:
-            out = x.copy()
-        else:
-            out = _rk4_transport(self.velocity, x, float(t0[0]), float(t1[0]), steps=1000)
-        return out[0] if np.ndim(x_from) == 1 else out
-
-    # tape-op counterparts; only flows that support them can serve as a
-    # differentiable oracle for the identity residual
-    def velocity_op(self, x, t):
-        raise NotImplementedError(f"{self.kind} flow has no tape-op velocity")
-
-    def trajectory_op(self, x, t_from, t_to):
-        raise NotImplementedError(f"{self.kind} flow has no tape-op trajectory")
+        """State transported from time t_from to t_to (either direction)."""
+        raise NotImplementedError
 
     def average_velocity_op(self, x, r, t):
+        """Average velocity over [r, t] at the state x_t, in tape operations."""
         raise NotImplementedError(f"{self.kind} flow has no closed-form average velocity")
 
     def to_dict(self) -> dict:
@@ -110,13 +95,6 @@ class ConstantFlow(AnalyticFlow):
         out = x + (t1 - t0)[:, None] * self.c
         return out[0] if np.ndim(x_from) == 1 else out
 
-    def velocity_op(self, x, t):
-        return ad.expand_rows(as_tensor(self.c), _rows(x))
-
-    def trajectory_op(self, x, t_from, t_to):
-        drift = ad.expand_rows(as_tensor(self.c), _rows(x))
-        return ad.add(x, ad.scale_rows(drift, ad.sub(t_to, t_from)))
-
     def average_velocity_op(self, x, r, t):
         return ad.expand_rows(as_tensor(self.c), _rows(x))
 
@@ -136,12 +114,6 @@ class HarmonicFlow(AnalyticFlow):
         x, t0, t1 = _promote(x_from, t_from, t_to)
         out = x * np.exp(t0 - t1)[:, None]
         return out[0] if np.ndim(x_from) == 1 else out
-
-    def velocity_op(self, x, t):
-        return ad.neg(x)
-
-    def trajectory_op(self, x, t_from, t_to):
-        return ad.scale_rows(x, ad.exp(ad.sub(t_from, t_to)))
 
     def average_velocity_op(self, x, r, t):
         # u(x_t, r, t) = x_t (1 - e^{t-r}) / (t - r)
@@ -218,14 +190,6 @@ def _rk4_step(v_fn, x, ti, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_transport(v_fn, x, t_start, t_end, steps):
-    """Endpoint-only RK4 over a batch of states sharing the time span."""
-    h = (t_end - t_start) / steps
-    for i in range(steps):
-        x = _rk4_step(v_fn, x, t_start + i * h, h)
-    return x
-
-
 def rk4_solve(v_fn, x_start, t_start: float, t_end: float, steps: int) -> ReferencePath:
     """Classical 4th-order Runge-Kutta with a uniform step.
 
@@ -288,37 +252,15 @@ def average_velocity_oracle(flow: AnalyticFlow, x_t, r, t, num_intervals: int = 
 
 
 class OracleField:
-    """The true average velocity packaged as an evaluable field u(x, r, t).
+    """The true average velocity packaged as an evaluable field u(x, r, t):
+    the flow's closed form ``average_velocity_op``, which forward mode
+    differentiates like any other field."""
 
-    ``method`` picks between Simpson quadrature along the tape-op trajectory
-    (the default for flows without an exact formula shortcut) and the
-    closed-form expression; both are cross-checked in the test suite.
-    """
-
-    def __init__(self, flow: AnalyticFlow, num_intervals: int = 200, method: str = "auto"):
-        if method == "auto":
-            method = "closed_form" if flow.kind == "constant" else "quadrature"
-        if method not in ("closed_form", "quadrature"):
-            raise ValueError(f"unknown oracle method: {method!r}")
-        if method == "quadrature":
-            _simpson_coeffs(int(num_intervals))
+    def __init__(self, flow: AnalyticFlow):
         self.flow = flow
-        self.num_intervals = int(num_intervals)
-        self.method = method
 
     def forward(self, x, r, t):
-        if self.method == "closed_form":
-            return self.flow.average_velocity_op(x, r, t)
-        n = self.num_intervals
-        coeffs = _simpson_coeffs(n)
-        acc = None
-        for i in range(n + 1):
-            frac = i / n
-            tau = ad.add(ad.mul(r, 1.0 - frac), ad.mul(t, frac))
-            xi = self.flow.trajectory_op(x, t, tau)
-            term = ad.mul(self.flow.velocity_op(xi, tau), coeffs[i] / (3.0 * n))
-            acc = term if acc is None else ad.add(acc, term)
-        return acc
+        return self.flow.average_velocity_op(x, r, t)
 
     __call__ = forward
 
@@ -328,13 +270,11 @@ class OracleField:
             "version": 1,
             "kind": "analytic_oracle",
             "flow": self.flow.to_dict(),
-            "quad_intervals": self.num_intervals,
         }
 
 
-def average_velocity_field(flow: AnalyticFlow, num_intervals: int = 200,
-                           method: str = "auto") -> OracleField:
-    return OracleField(flow, num_intervals=num_intervals, method=method)
+def average_velocity_field(flow: AnalyticFlow) -> OracleField:
+    return OracleField(flow)
 
 
 # ---------------------------------------------------------------------------

@@ -172,10 +172,11 @@ def energy_distance(a, b) -> float:
     """2 E|A-B| - E|A-A'| - E|B-B'| with exact pairwise sums.
 
     All pairs enter the within-sample means (including the zero diagonal),
-    so identical point sets give exactly zero.
+    so identical point sets give exactly zero. A 1-D set is n scalar
+    samples, an [n, 1] column.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    a, b = (np.asarray(x, dtype=np.float64) for x in (a, b))
+    a, b = (x.reshape(-1, 1) if x.ndim < 2 else x for x in (a, b))
     for name, x in (("a", a), ("b", b)):
         if x.size == 0:
             raise ValueError(f"energy_distance: {name} is empty (shape {x.shape})")

@@ -226,6 +226,38 @@ def test_cmd_eval_shape_mismatch_exits_2(tmp_path, capsys):
     assert "compatible" in capsys.readouterr().err
 
 
+SMALL_FIELD = {"input_dim": 1, "hidden_widths": [4], "time_embed_dim": 2,
+               "base_frequency": 1.0, "seed": 0, "zero_init_output": False}
+
+
+def mlp_doc(**changes):
+    return {"format": "mmflow-checkpoint", "version": 1, "kind": "mlp",
+            "config": SMALL_FIELD, "params": [], **changes}
+
+
+@pytest.mark.parametrize("text, section", [
+    ("[1, 2]", "not a recognized checkpoint"),
+    ("NaN", "not a recognized checkpoint"),
+    (json.dumps(mlp_doc(config=5)), "config"),
+    (json.dumps(mlp_doc(config={**SMALL_FIELD, "depth": 3})), "config"),
+    (json.dumps(mlp_doc(params=3)), "params"),
+    (json.dumps(mlp_doc(params=[{"shape": [1], "data": [0.0]}] * 4)), "params"),
+    (json.dumps({"format": "mmflow-checkpoint", "kind": "analytic_oracle", "flow": [1]}),
+     "flow"),
+], ids=["array", "nan", "config-number", "config-unknown-key", "params-number",
+        "params-shape", "flow-array"])
+def test_malformed_checkpoint_exits_2_before_writing(tmp_path, capsys, text, section):
+    config = smoke_config(tmp_path)
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(text)
+    out = tmp_path / "never"
+    assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and section in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sample command
 

@@ -304,3 +304,31 @@ def test_oracle_checkpoint_loads_as_field(tmp_path):
         as_tensor(np.ones((2, 2))), as_tensor(np.zeros(2)), as_tensor(np.ones(2))
     )
     assert np.allclose(out.data, (1 - np.e) * np.ones((2, 2)), atol=1e-6)
+
+
+def test_oracle_checkpoint_with_stored_quad_intervals_loads_as_closed_form(tmp_path):
+    # earlier files carry a "quad_intervals" entry, which is now unused
+    from mmflow.meanflow_math import HarmonicFlow
+
+    doc = {"format": "mmflow-checkpoint", "version": 1, "kind": "analytic_oracle",
+           "flow": {"kind": "harmonic", "dim": 2}, "quad_intervals": 200}
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_checkpoint(path)
+    x, r, t = np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([0.0, 0.2]), np.array([1.0, 0.9])
+    closed = HarmonicFlow(2).average_velocity_op(x, r, t)
+    assert np.array_equal(loaded.forward(as_tensor(x), as_tensor(r), as_tensor(t)).data,
+                          closed.data)
+
+
+def test_checkpoint_load_builds_the_field_from_the_stored_arrays(tmp_path, monkeypatch):
+    import mmflow.field_model as fm
+
+    field = init_params(SMALL)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(field, path)
+    monkeypatch.setattr(fm, "init_params", None)  # loading draws no initialisation
+    loaded = load_checkpoint(path)
+    assert all(p.requires_grad for p in loaded.params)
+    for a, b in zip(field.params, loaded.params):
+        assert np.array_equal(a.data, b.data)

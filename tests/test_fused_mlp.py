@@ -156,32 +156,35 @@ def test_input_adjoints_of_state_and_its_tangent():
 
 
 # ---------------------------------------------------------------------------
-# fallback and node counts
+# attached times and node counts
 
 
-def test_attached_time_falls_back_to_op_by_op():
+def test_attached_time_raises():
     field = init_params(CFG)
     rng = np.random.default_rng(6)
     x = as_tensor(rng.normal(size=(4, 2)))
     r = Tensor(rng.uniform(0.0, 0.4, 4), requires_grad=True)
-    t = Tensor(rng.uniform(0.6, 1.0, 4), requires_grad=True)
+    t = as_tensor(rng.uniform(0.6, 1.0, 4))
     with Tape() as tape:
-        u = field.forward(x, r, t)
-        loss = ad.sum_all(u)
-    assert "mlp" not in [node.kind for node in tape.nodes]
-    grads = backward(loss)
-    assert np.any(grads.wrt(t) != 0.0) and np.any(grads.wrt(r) != 0.0)
+        with pytest.raises(ValueError, match="must not be attached"):
+            field.forward(x, r, t)
+        with pytest.raises(ValueError, match="must not be attached"):
+            field.forward(x, t, r)
+    assert len(tape) == 0
 
 
-def test_attached_time_tangent_falls_back_inside_attached_jvp():
+def test_attached_time_tangent_raises_inside_attached_jvp():
     field = init_params(CFG)
     rng = np.random.default_rng(7)
     dt = Tensor(np.ones(4), requires_grad=True)
     r, t = sample_time_pairs(rng, 4, TimePairConfig())
+    x = rng.normal(size=(4, 2))
     with Tape() as tape:
-        jvp(field.forward, [rng.normal(size=(4, 2)), r, t],
-            [np.zeros((4, 2)), np.zeros(4), dt], attach=True)
-    assert "mlp" not in [node.kind for node in tape.nodes]
+        with pytest.raises(ValueError, match="must not be attached"):
+            jvp(field.forward, [x, r, t], [np.zeros((4, 2)), np.zeros(4), dt], attach=True)
+        assert len(tape) == 0
+        # a detached jvp never differentiates the tangent, so it runs
+        jvp(field.forward, [x, r, t], [np.zeros((4, 2)), np.zeros(4), dt])
 
 
 @pytest.mark.parametrize("lam, nodes", [(0.0, 6), (0.5, 8), (1.0, 8)])

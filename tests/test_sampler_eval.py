@@ -266,6 +266,15 @@ def test_energy_distance_matches_closed_form_gaussians():
     assert abs(got - expected) / expected < 0.05
 
 
+def test_energy_distance_one_dimensional_set_is_scalar_samples():
+    # [0, 1, 2] is three scalar samples, the same set as the column [[0], [1], [2]]
+    a, b = np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.0, 0.0])
+    assert energy_distance(a, b) == 0.0
+    assert energy_distance(a[:, None], b[:, None]) == 0.0
+    c = np.array([0.0, 1.0, 5.0])
+    assert energy_distance(a, c) == energy_distance(a[:, None], c[:, None]) > 0.0
+
+
 def test_energy_distance_dimension_mismatch():
     with pytest.raises(ValueError):
         energy_distance(np.zeros((4, 2)), np.zeros((4, 3)))
