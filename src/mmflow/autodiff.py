@@ -1,6 +1,9 @@
 """Minimal dense-tensor autodiff: reverse-mode tape + forward-mode JVP.
 
-Everything is float64. A ``Tape`` records operations whenever at least one
+Every tensor, tape value and gradient is float64. A hand-written node
+(``_emit_multi``) may compute in another dtype inside: the velocity MLP
+does its arithmetic in float32 while ``train`` steps it, and still takes
+and emits float64. A ``Tape`` records operations whenever at least one
 input is attached to it (parameters are attached lazily via their
 ``requires_grad`` flag). ``backward`` walks the tape once in reverse and
 returns a gradient map. ``jvp`` runs the same operations on dual numbers;

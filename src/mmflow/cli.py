@@ -333,7 +333,7 @@ def _train_into(run: _Run, config: dict):
         run.adopt(ckpt)
     result.log.write_csv(run.path("trainlog.csv"))
     if result.halted:
-        halt = {"halt_step": result.halt_step, "reason": result.halt_reason}
+        halt = result.halt_report()
         write_atomic(run.path("halt.json"), lambda fh: json.dump(halt, fh))
     return task, result
 

@@ -108,8 +108,11 @@ class FieldConfig:
 class VelocityField:
     """Parameterized average-velocity model u(x, r, t).
 
-    Parameters are immutable tensors; an update produces a new field via
-    ``with_params``. Forward evaluation is deterministic given the
+    Parameters are immutable float64 tensors; an update produces a new
+    field via ``with_params``. ``compute_dtype`` is the dtype the MLP
+    computes in: float64 by default, float32 on the copy that ``train``
+    steps (``with_compute_dtype``). Inputs, outputs, tangents and gradients
+    are float64 either way. Forward evaluation is deterministic given the
     parameters and inputs, and may run concurrently on shared parameters.
     """
 
@@ -117,6 +120,7 @@ class VelocityField:
         self.config = config
         self.weights = list(weights)
         self.biases = list(biases)
+        self.compute_dtype = np.float64
         self._embedding = TimeEmbedding(config.time_embed_dim, config.base_frequency)
         self._freqs = self._embedding.frequencies()
 
@@ -128,10 +132,22 @@ class VelocityField:
             out.extend((w, b))
         return out
 
+    @property
+    def param_labels(self) -> list:
+        """``params`` by layer and role: "layer 0 weight", "layer 0 bias", ..."""
+        return [f"layer {i} {role}" for i in range(len(self.weights))
+                for role in ("weight", "bias")]
+
     def with_params(self, params) -> "VelocityField":
         field = copy.copy(self)  # shares the config and the frequency ladder
         field.weights = list(params[0::2])
         field.biases = list(params[1::2])
+        return field
+
+    def with_compute_dtype(self, dtype) -> "VelocityField":
+        """The same field computing its MLP in ``dtype``."""
+        field = copy.copy(self)
+        field.compute_dtype = dtype
         return field
 
     def forward(self, x, r, t):
@@ -143,8 +159,16 @@ class VelocityField:
         t embedding) whose tangent is all zero. While a tape records, the
         whole MLP is one node over ``params`` (and x and its tangent, when
         attached) with a hand-written reverse pass; its outputs are ``u``
-        and, inside ``jvp(..., attach=True)``, ``du``. The primal is
-        bit-for-bit the op-by-op pass of ``_forward_ops``.
+        and, inside ``jvp(..., attach=True)``, ``du``. In float64 the
+        primal is bit-for-bit the op-by-op pass of ``_forward_ops``.
+
+        The first-layer input (the embeddings are computed in float64 and
+        rounded), the tangent blocks, every matmul, ``tanh`` and the
+        reverse pass run in ``compute_dtype``; the weights are cast once
+        per call. ``u`` and ``du`` are float64, the reverse pass casts the
+        incoming adjoints down, and ``backward`` returns float64 gradients.
+        In float32 an input or adjoint beyond its range (about 3.4e38)
+        becomes infinite when it is cast.
 
         The times are never differentiated in reverse mode: ``ValueError``
         is raised when ``r`` or ``t`` is attached to the recording tape, or,
@@ -173,15 +197,18 @@ class VelocityField:
         record = tape is not None
         keep_tangent = record and attach
 
+        ct = self.compute_dtype
+        weights = [w.data.astype(ct, copy=False) for w in self.weights]
+        biases = [bias.data.astype(ct, copy=False) for bias in self.biases]
         d, k = self.config.input_dim, self.config.time_embed_dim
-        h = np.empty((b, d + 2 * k))
+        h = np.empty((b, d + 2 * k), dtype=ct)
         h[:, :d] = xp.data
         self._embed(rp.data, h[:, d:d + k])
         self._embed(tp.data, h[:, d + k:])
         blocks = []  # (first row of W0, tangent block) for non-zero blocks
         if dual:
             if dx is not None and dx.data.any():
-                blocks.append((0, dx.data))
+                blocks.append((0, dx.data.astype(ct, copy=False)))
             for lo, tv in ((d, dr), (d + k, dt)):
                 if tv is not None and tv.data.any():
                     blocks.append((lo, self._embed_tangent(h[:, lo:lo + k], tv.data)))
@@ -189,12 +216,11 @@ class VelocityField:
         # layer inputs, their tangents, tanh slopes 1 - a^2 and pre-activation
         # tangents, kept only while recording
         hs, dhs, ss, dzs = [], [], [], []
-        last = len(self.weights) - 1
+        last = len(weights) - 1
         dz = dh = None
-        for i, (w, bias) in enumerate(zip(self.weights, self.biases)):
-            W = w.data
+        for i, (W, bias) in enumerate(zip(weights, biases)):
             z = h @ W
-            z += bias.data
+            z += bias
             if dual:
                 if i == 0:
                     dz = np.zeros_like(z)
@@ -221,11 +247,12 @@ class VelocityField:
         u = Tensor._wrap(h)
         du = Tensor._wrap(dz) if dual else None
         if record:
-            weights = [w.data for w in self.weights]
 
             def bwd(gu, gdu=None):
-                gz = gu if gu is not None else np.zeros_like(h)
-                gdz = gdu
+                # adjoints arrive in float64; the reverse pass runs in the
+                # forward's dtype, and ``backward`` hands out float64 again
+                gz = gu.astype(ct, copy=False) if gu is not None else np.zeros_like(h)
+                gdz = None if gdu is None else gdu.astype(ct, copy=False)
                 out = [None] * len(in_gids)
                 for i in range(last, -1, -1):
                     gw = hs[i].T @ gz

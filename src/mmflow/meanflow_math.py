@@ -116,10 +116,37 @@ class HarmonicFlow(AnalyticFlow):
         return out[0] if np.ndim(x_from) == 1 else out
 
     def average_velocity_op(self, x, r, t):
-        # u(x_t, r, t) = x_t (1 - e^{t-r}) / (t - r)
-        gap = ad.sub(t, r)
-        factor = ad.div(ad.sub(1.0, ad.exp(gap)), gap)
-        return ad.scale_rows(x, factor)
+        # u(x_t, r, t) = x_t (1 - e^{t-r}) / (t - r) = -x_t expm1(g) / g, g = t - r
+        return ad.scale_rows(x, ad.neg(_expm1_ratio(ad.sub(t, r))))
+
+
+# below this |g| the slope of expm1(g)/g comes from its Taylor series:
+# (e^g - expm1(g)/g) / g loses about 4e-16/|g| of its digits to cancellation,
+# and the series' first dropped term is g^6/5760, about 1e-14 here
+_SERIES_BELOW = 2e-2
+
+
+def _expm1_ratio_value(g: np.ndarray) -> np.ndarray:
+    """expm1(g) / g, with its limit 1 at g = 0."""
+    return np.divide(np.expm1(g), g, out=np.ones_like(g), where=g != 0.0)
+
+
+def _expm1_ratio_slope(g: np.ndarray) -> np.ndarray:
+    """d/dg expm1(g) / g, with its limit 1/2 at g = 0."""
+    series = 0.5 + g * (1 / 3 + g * (1 / 8 + g * (1 / 30 + g * (1 / 144 + g / 840))))
+    small = np.abs(g) < _SERIES_BELOW
+    safe = np.where(small, 1.0, g)
+    return np.where(small, series, (np.exp(safe) - _expm1_ratio_value(safe)) / safe)
+
+
+def _expm1_ratio(g):
+    """Tape op for expm1(g) / g, exact at and near g = 0. Its slope enters
+    forward mode as a constant, so the op is differentiable once."""
+    return ad._unary(
+        "expm1_ratio", g, _expm1_ratio_value,
+        lambda grad, x, y: grad * _expm1_ratio_slope(x),
+        lambda gp, y, gt: ad.mul(as_tensor(_expm1_ratio_slope(gp.data)), gt),
+    )
 
 
 def flow_from_dict(d: dict) -> AnalyticFlow:

@@ -2,9 +2,12 @@
 and per-step telemetry (loss, gradient norm, modulation factor, lr).
 
 Reproducibility contract: a (seed, config) pair fully determines every
-logged number. The seed is split hierarchically into independent streams
-for initialization, time-pair sampling, and data sampling, so changing the
-logging cadence can never perturb the trajectory.
+logged number on a given machine and BLAS build. The seed is split
+hierarchically into independent streams for initialization, time-pair
+sampling, and data sampling, so changing the logging cadence can never
+perturb the trajectory. The MLP computes in float32 during training, so
+its rounding differs from a float64 step; the logged numbers, the
+parameters and the checkpoints are float64.
 """
 
 from __future__ import annotations
@@ -39,7 +42,14 @@ __all__ = [
 
 
 class NonFiniteGradientError(RuntimeError):
-    """A gradient contained NaN or infinity; the step was aborted."""
+    """A gradient contained NaN or infinity; the step was aborted.
+
+    ``index`` is the position of the first offending parameter in the
+    list ``adam_step`` was given."""
+
+    def __init__(self, index: int):
+        super().__init__(f"non-finite gradient in parameter {index}")
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -127,7 +137,7 @@ def adam_step(state: OptimizerState, params, grads, lr: float):
     if not finite.all():
         bad = int(np.argmin(finite))
         index = int(np.searchsorted(np.cumsum([p.size for p in params]), bad, side="right"))
-        raise NonFiniteGradientError(f"non-finite gradient in parameter {index}")
+        raise NonFiniteGradientError(index)
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     step_size = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
@@ -212,12 +222,35 @@ class TrainLog:
 
 @dataclass
 class TrainResult:
+    """What ``train`` returns. On a halt, ``halt_parameter`` names the
+    parameter with the first non-finite gradient (``None`` for a
+    non-finite loss), ``last_loss`` and ``last_grad_norm`` are the last
+    finite values computed (``None`` if there were none), and
+    ``halt_lambda`` and ``halt_lr`` are the halted step's."""
+
     field: object
     log: TrainLog
     checkpoints: list
     halted: bool = False
     halt_step: Optional[int] = None
     halt_reason: Optional[str] = None
+    halt_parameter: Optional[str] = None
+    last_loss: Optional[float] = None
+    last_grad_norm: Optional[float] = None
+    halt_lambda: Optional[float] = None
+    halt_lr: Optional[float] = None
+
+    def halt_report(self) -> dict:
+        """The content of ``halt.json``."""
+        return {
+            "halt_step": self.halt_step,
+            "reason": self.halt_reason,
+            "parameter": self.halt_parameter,
+            "last_finite_loss": self.last_loss,
+            "last_finite_grad_norm": self.last_grad_norm,
+            "lambda": self.halt_lambda,
+            "lr": self.halt_lr,
+        }
 
 
 def _task_batch_fn(task, convention):
@@ -242,6 +275,11 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
     written to ``out_dir`` (ckpt_{step}.json, plus a final one) when a
     directory is given. A non-finite loss or gradient halts training and
     returns the partial log.
+
+    The field stepped here computes its MLP in float32 (mixed precision:
+    the parameters, the Adam moments, the gradient vector, the loss and
+    the grad norm stay float64). The returned field computes in float64
+    again, like one loaded from the final checkpoint.
     """
     if batch_fn is None:
         if config.task is None:
@@ -253,11 +291,13 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
     time_rng = np.random.default_rng(time_ss)
     data_rng = np.random.default_rng(data_ss)
 
+    field = field.with_compute_dtype(np.float32)
     params = field.params
     state = OptimizerState.init(params)
     grad = np.empty_like(state.m)  # every step's gradient, reused (see OptimizerState)
     log = TrainLog()
     checkpoints = []
+    last_loss = last_grad_norm = None
 
     def write_ckpt(step_label):
         if out_dir is None:
@@ -265,6 +305,14 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
         path = os.path.join(out_dir, f"ckpt_{step_label}.json")
         save_checkpoint(field, path)
         checkpoints.append(path)
+
+    def halt(step, lam, lr, reason, parameter=None):
+        return TrainResult(
+            field.with_compute_dtype(np.float64), log, checkpoints, halted=True,
+            halt_step=step, halt_reason=reason, halt_parameter=parameter,
+            last_loss=last_loss, last_grad_norm=last_grad_norm,
+            halt_lambda=float(lam), halt_lr=float(lr),
+        )
 
     for step in range(config.total_steps):
         batch = batch_fn(data_rng, time_rng, config.batch_size, config.time_pairs)
@@ -275,22 +323,20 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
             loss = loss_lambda(field, batch, lam, target_norm=config.target_norm)
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
-            return TrainResult(
-                field, log, checkpoints, halted=True, halt_step=step,
-                halt_reason=f"non-finite loss at step {step}",
-            )
+            return halt(step, lam, lr, f"non-finite loss at step {step}")
+        last_loss = loss_val
         grads = backward(loss)
         np.concatenate([grads.wrt(p).ravel() for p in params], out=grad)
         grad_norm = global_grad_norm(grad)
+        if np.isfinite(grad_norm):
+            last_grad_norm = grad_norm
         if config.grad_clip is not None and grad_norm > config.grad_clip:
             grad *= config.grad_clip / grad_norm
         try:
             state, params = adam_step(state, params, grad, lr)
         except NonFiniteGradientError as err:
-            return TrainResult(
-                field, log, checkpoints, halted=True, halt_step=step,
-                halt_reason=str(err),
-            )
+            label = field.param_labels[err.index]
+            return halt(step, lam, lr, f"non-finite gradient in {label} at step {step}", label)
         field = field.with_params(params)
 
         if _should_log(step, config.total_steps, config.log_every):
@@ -300,7 +346,7 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
 
     if config.total_steps:
         write_ckpt("final")
-    return TrainResult(field, log, checkpoints)
+    return TrainResult(field.with_compute_dtype(np.float64), log, checkpoints)
 
 
 def loss_variance(log: TrainLog, window: int) -> float:

@@ -397,15 +397,20 @@ def test_cmd_ablation_halt_writes_halt_json_per_variant(tmp_path, monkeypatch):
         log = TrainLog()
         log.append(0, 1.0, 1.0, 0.0, 1e-3)
         return TrainResult(field, log, [], halted=True, halt_step=1,
-                           halt_reason="non-finite loss at step 1")
+                           halt_reason="non-finite loss at step 1", last_loss=1.0,
+                           last_grad_norm=2.0, halt_lambda=config.schedule.at(1),
+                           halt_lr=1e-3)
 
     monkeypatch.setattr(cli, "train", halting_train)
     out = tmp_path / "halted"
     assert main(["ablation", "--config", str(smoke_config(tmp_path)), "--out", str(out)]) == 3
     listed = set(json.loads((out / "run_manifest.json").read_text())["artifacts"])
-    for name in ("lambda0", "lambda05", "lambda1", "curriculum"):
+    for name, lam in (("lambda0", 0.0), ("lambda05", 0.5), ("lambda1", 1.0),
+                      ("curriculum", 0.1)):
         halt = json.loads((out / name / "halt.json").read_text())
-        assert halt == {"halt_step": 1, "reason": "non-finite loss at step 1"}
+        assert halt == {"halt_step": 1, "reason": "non-finite loss at step 1",
+                        "parameter": None, "last_finite_loss": 1.0,
+                        "last_finite_grad_norm": 2.0, "lambda": lam, "lr": 1e-3}
         assert os.path.join(name, "halt.json") in listed
 
 
@@ -511,6 +516,41 @@ def test_cmd_train_numerical_halt_exits_3(tmp_path, monkeypatch):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert "halt.json" in manifest["artifacts"]
     assert "trainlog.csv" in manifest["artifacts"]
+
+
+def test_cmd_train_halt_on_a_non_finite_gradient_reports_layer_and_last_values(tmp_path,
+                                                                              monkeypatch):
+    # states of 1e41 are infinite in the float32 training step: the loss
+    # stays finite (tanh saturates), the first layer's weight gradient does not
+    import mmflow.trainer as trainer_mod
+
+    task_batch_fn = trainer_mod._task_batch_fn
+
+    def huge_states_from_step_3(task, convention):
+        draw = task_batch_fn(task, convention)
+        steps = []
+
+        def batch_fn(*args):
+            batch = draw(*args)
+            if len(steps) == 3:
+                batch.x_t[:] = 1e41
+            steps.append(None)
+            return batch
+
+        return batch_fn
+
+    monkeypatch.setattr(trainer_mod, "_task_batch_fn", huge_states_from_step_3)
+    out = tmp_path / "halt_run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", str(smoke_config(tmp_path)), "--out", str(out)]) == 3
+    halt = json.loads((out / "halt.json").read_text())
+    log = (out / "trainlog.csv").read_text().splitlines()
+    assert halt["halt_step"] == 3 and halt["parameter"] == "layer 0 weight"
+    assert halt["reason"] == "non-finite gradient in layer 0 weight at step 3"
+    assert np.isfinite(halt["last_finite_loss"]) and np.isfinite(halt["last_finite_grad_norm"])
+    assert halt["lambda"] == 0.3  # warmup over 10 steps
+    assert halt["lr"] == pytest.approx(1e-3 * 0.5 * (1 + np.cos(np.pi * 3 / 30)))
+    assert log == ["step,loss,grad_norm,lambda,lr"]  # log_every 10: no row before step 3
 
 
 def test_manifest_and_halt_are_replaced_atomically(tmp_path, monkeypatch):

@@ -87,6 +87,14 @@ def test_init_same_seed_bitwise_identical():
         assert np.array_equal(a.data, b.data)
 
 
+def test_param_labels_follow_the_params_order():
+    field = init_params(SMALL)
+    labels = field.param_labels
+    assert len(labels) == len(field.params) == 6
+    assert labels[4] == "layer 2 weight" and labels[5] == "layer 2 bias"
+    assert [p.ndim for p in field.params] == [2 if "weight" in s else 1 for s in labels]
+
+
 def test_init_different_seed_differs():
     other = FieldConfig(**{**SMALL.to_dict(), "seed": 43})
     f1, f2 = init_params(SMALL), init_params(other)

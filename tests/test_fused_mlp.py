@@ -3,7 +3,9 @@
 ``VelocityField._forward_ops`` writes the same MLP in tape operations, so
 the generic tape differentiates it. Every quantity the training step reads
 (loss, ``u``, the bracket ``du`` and each parameter gradient) must agree
-with it to 1e-12 relative, and the primal must agree bit for bit.
+with it to 1e-12 relative, and the primal must agree bit for bit. The
+float32 node, the precision ``train`` steps in, is judged against the
+float64 node at float32 tolerances.
 """
 
 import contextlib
@@ -209,3 +211,56 @@ def test_lambda_zero_drops_the_tangent_adjoint():
         loss_lambda(field, batch, 0.5)
     (node,) = [n for n in tape.nodes if n.kind == "mlp"]
     assert len(node.out_gid) == 2
+
+
+# ---------------------------------------------------------------------------
+# float32 compute, the precision ``train`` steps in
+
+REFERENCE = FieldConfig(input_dim=2, base_frequency=20.0, seed=1)
+
+
+@pytest.mark.parametrize("convention", ["interval_ratio", "absolute_time"])
+@pytest.mark.parametrize("target_norm", ["sampled_gap", "pair_span"])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_float32_node_matches_the_float64_node(convention, target_norm, lam):
+    field = init_params(REFERENCE)
+    low = field.with_compute_dtype(np.float32)
+    batch = make_batch(np.random.default_rng(10), 128, 2, convention)
+    ref_loss, ref_grads = value_and_grads(
+        field, lambda: loss_lambda(field, batch, lam, target_norm=target_norm))
+    loss, grads = value_and_grads(
+        low, lambda: loss_lambda(low, batch, lam, target_norm=target_norm))
+    assert abs(loss - ref_loss) <= 1e-6 * abs(ref_loss)
+    for g, ref in zip(grads, ref_grads):
+        assert g.dtype == np.float64
+        assert rel(g, ref) <= 1e-5
+
+
+def test_float32_node_emits_float64_values_and_tangents():
+    field = init_params(CFG)
+    low = field.with_compute_dtype(np.float32)
+    rng = np.random.default_rng(11)
+    x, v = rng.normal(size=(2, 16, 2))
+    r, t = sample_time_pairs(rng, 16, TimePairConfig())
+    with Tape():
+        u, du = jvp(low.forward, [x, r, t], [v, np.zeros(16), np.ones(16)], attach=True)
+    with Tape():
+        u_ref, du_ref = jvp(field.forward, [x, r, t], [v, np.zeros(16), np.ones(16)],
+                            attach=True)
+    assert u.data.dtype == du.data.dtype == np.float64
+    assert rel(u.data, u_ref.data) <= 1e-6 and rel(du.data, du_ref.data) <= 1e-5
+    assert field.compute_dtype == np.float64  # the copy leaves the original as it was
+
+
+def test_float32_adjoint_beyond_its_range_gives_a_non_finite_gradient():
+    # the float64 adjoint 1e39 becomes inf when the float32 reverse pass casts it
+    field = init_params(CFG)
+    rng = np.random.default_rng(12)
+    x = as_tensor(rng.normal(size=(8, 2)))
+    r, t = (as_tensor(a) for a in sample_time_pairs(rng, 8, TimePairConfig()))
+    for f, finite in ((field, True), (field.with_compute_dtype(np.float32), False)):
+        with Tape(), np.errstate(over="ignore", invalid="ignore"):
+            loss = ad.sum_all(ad.mul(f.forward(x, r, t), 1e39))
+            grads = backward(loss)
+        assert np.isfinite(float(loss.data))
+        assert all(np.isfinite(grads.wrt(p)).all() for p in f.params) == finite

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmflow.autodiff import as_tensor
+from mmflow.autodiff import as_tensor, jvp
 from mmflow.meanflow_math import (
     ConstantFlow,
     HarmonicFlow,
@@ -188,6 +188,38 @@ def test_quadrature_agrees_with_closed_forms():
     gap = (t - r)[:, None]
     u_closed = x * (1.0 - np.exp(t - r))[:, None] / gap
     assert np.max(np.abs(u_quad - u_closed)) < 1e-6
+
+
+def test_harmonic_oracle_at_zero_gap_is_the_velocity():
+    # (1 - e^g) / g is 0/0 at g = 0; the factor is -expm1(g)/g with limit -1
+    field = average_velocity_field(HarmonicFlow(1))
+    x, r = np.array([[1.0]]), np.array([0.5])
+    assert field.forward(as_tensor(x), as_tensor(r), as_tensor(r)).data[0, 0] == -1.0
+    u, du = jvp(field.forward, [x, r, r], [np.zeros((1, 1)), np.zeros(1), np.ones(1)])
+    assert u.data[0, 0] == -1.0
+    assert np.isfinite(du.data).all()
+    assert du.data[0, 0] == -0.5  # d/dt of -expm1(t - r)/(t - r) at t = r
+
+
+def test_harmonic_oracle_keeps_its_digits_at_tiny_gaps():
+    field = average_velocity_field(HarmonicFlow(1))
+    for gap in (1e-9, 1e-12, -1e-9):
+        u = field.forward(as_tensor([[1.0]]), as_tensor([0.5]), as_tensor([0.5 + gap])).data
+        exact = -(1.0 + gap / 2.0 + gap * gap / 6.0)  # -expm1(g)/g to 3 terms
+        assert abs(u[0, 0] - exact) <= 2.3e-16
+
+
+def test_expm1_ratio_slope_is_smooth_across_the_series_switch():
+    from mmflow.meanflow_math import _SERIES_BELOW, _expm1_ratio_slope, _expm1_ratio_value
+
+    for g0 in (_SERIES_BELOW, -_SERIES_BELOW):
+        # the series just inside the switch, the difference quotient just outside
+        below, above = _expm1_ratio_slope(np.array([np.nextafter(g0, 0.0), g0]))
+        assert abs(below - above) <= 1e-13
+    g = np.array([-0.7, -1e-2, 5e-3, 0.3, 1.5])
+    h = 1e-6
+    central = (_expm1_ratio_value(g + h) - _expm1_ratio_value(g - h)) / (2 * h)
+    assert np.max(np.abs(_expm1_ratio_slope(g) - central)) <= 1e-9
 
 
 @pytest.mark.parametrize("flow", [ConstantFlow([1.3, -0.4]), HarmonicFlow(1), HarmonicFlow(2)],

@@ -295,6 +295,86 @@ def test_train_halts_on_non_finite_loss_with_partial_log():
     assert res.halted and res.halt_step == 12
     assert "non-finite" in res.halt_reason
     assert res.log.steps[-1] == 11  # rows before the halt survive
+    assert res.halt_parameter is None
+    assert res.last_loss == res.log.losses[-1]
+    assert res.last_grad_norm == res.log.grad_norms[-1]
+    assert res.halt_lambda == 0.5 and res.halt_lr == cosine_lr(1e-3, 12, 50)
+
+
+def test_train_halt_names_the_layer_of_a_non_finite_gradient():
+    # a state beyond float32's range (~3.4e38) is infinite in the float32
+    # step: tanh saturates, so the loss stays finite, but the first layer's
+    # weight gradient is inf * 0; in float64 the same step is finite
+    field = init_params(FieldConfig(input_dim=1, hidden_widths=(8, 8), time_embed_dim=4,
+                                    base_frequency=10.0, seed=0))
+
+    def huge_state(data_rng, time_rng, batch_size, cfg):
+        x0 = data_rng.normal(size=(batch_size, 1))
+        r, t = sample_time_pairs(time_rng, batch_size, cfg)
+        batch = build_batch(x0, x0 + (t - r)[:, None], r, t)
+        if huge_state.step == 5:
+            batch.x_t[:] = 1e41
+        huge_state.step += 1
+        return batch
+
+    huge_state.step = 0
+    sched = WarmupSchedule(10)
+    cfg = TrainConfig(total_steps=20, batch_size=8, lr0=1e-3, schedule=sched, seed=4,
+                      log_every=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = train(field, cfg, batch_fn=huge_state)
+    assert res.halted and res.halt_step == 5
+    assert res.halt_parameter == "layer 0 weight"
+    assert res.halt_reason == "non-finite gradient in layer 0 weight at step 5"
+    assert np.isfinite(res.last_loss) and res.last_loss != res.log.losses[-1]
+    assert res.last_grad_norm == res.log.grad_norms[-1] and res.log.steps[-1] == 4
+    assert res.halt_lambda == sched.at(5) and res.halt_lr == cosine_lr(1e-3, 5, 20)
+    assert set(res.halt_report()) == {"halt_step", "reason", "parameter", "last_finite_loss",
+                                      "last_finite_grad_norm", "lambda", "lr"}
+
+
+def test_train_steps_in_float32_and_returns_a_float64_field(tmp_path, monkeypatch):
+    import mmflow.trainer as trainer_mod
+    from mmflow.field_model import load_checkpoint
+    from mmflow.sampler_eval import one_step_sample
+
+    seen = []
+
+    def recording(field, *args, **kwargs):
+        seen.append(field.compute_dtype)
+        return loss_lambda(field, *args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "loss_lambda", recording)
+    field = init_params(SMALL_FIELD)
+    cfg = TrainConfig(total_steps=10, batch_size=8, lr0=1e-3, schedule=WarmupSchedule(5),
+                      seed=3, log_every=5)
+    res = train(field, cfg, batch_fn=drift_batch_fn, out_dir=tmp_path)
+    assert seen == [np.float32] * 10
+    assert field.compute_dtype == res.field.compute_dtype == np.float64
+    x1 = np.random.default_rng(0).normal(size=(64, 2))
+    loaded = load_checkpoint(tmp_path / "ckpt_final.json")
+    assert np.array_equal(one_step_sample(res.field, x1), one_step_sample(loaded, x1))
+
+
+def test_train_decay_recipe_reaches_a_low_one_step_mse():
+    # a seconds-long guard on training quality: the 400-step decay recipe of
+    # the benchmark's train_decay workload (the 20k-step run is criterion 7)
+    import json
+    import os
+
+    from mmflow.cli import _build, canonicalize
+    from mmflow.sampler_eval import one_step_mse
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "decay.json")) as fh:
+        doc = json.load(fh)
+    doc["task"]["seed"] = doc["field"]["seed"] = 1
+    doc["train"].update(total_steps=400, lr0=3e-3, seed=1, log_every=50, checkpoint_every=0)
+    doc["schedule"] = {"kind": "warmup", "t_warmup": 50}
+    task, field, cfg = _build(canonicalize(doc))
+    res = train(field, cfg)
+    assert not res.halted
+    assert one_step_mse(res.field, task, 4096, np.random.default_rng(1)) <= 1e-2
 
 
 def test_train_with_task_and_checkpoints(tmp_path):
