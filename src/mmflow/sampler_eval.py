@@ -90,17 +90,18 @@ def few_step_sample(field, x1, n_steps: int) -> SamplePathSet:
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    x = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    b = x.shape[0]
+    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
+    b = x1.shape[0]
     times = np.linspace(1.0, 0.0, n_steps + 1)
-    states = [x.copy()]
+    states = np.empty((n_steps + 1, *x1.shape))
+    states[0] = x1
     fn = forward_fn(field)
     for k in range(n_steps):
         t_hi, t_lo = times[k], times[k + 1]
+        x = states[k]
         u = fn(as_tensor(x), as_tensor(np.full(b, t_lo)), as_tensor(np.full(b, t_hi))).data
-        x = x - (t_hi - t_lo) * u
-        states.append(x.copy())
-    return SamplePathSet(times=times, states=np.stack(states))
+        np.subtract(x, (t_hi - t_lo) * u, out=states[k + 1])
+    return SamplePathSet(times=times, states=states)
 
 
 def path_deviation(path: SamplePath, reference) -> float:

@@ -9,6 +9,8 @@ float64 node at float32 tolerances.
 """
 
 import contextlib
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import mmflow.autodiff as ad
 from mmflow.autodiff import Tape, Tensor, as_tensor, backward, jvp
-from mmflow.field_model import FieldConfig, VelocityField, init_params
+from mmflow.field_model import _BLOCK_ROWS, FieldConfig, VelocityField, init_params
 from mmflow.objectives import (
     TimePairConfig,
     build_batch,
@@ -24,6 +26,7 @@ from mmflow.objectives import (
     loss_lambda,
     sample_time_pairs,
 )
+from mmflow.sampler_eval import few_step_sample, one_step_sample
 
 TOL = 1e-12
 
@@ -53,6 +56,12 @@ def make_batch(rng, b, d, convention):
     x1 = rng.normal(size=(b, d))
     r, t = sample_time_pairs(rng, b, TimePairConfig())
     return build_batch(x0, x1, r, t, convention=convention)
+
+
+def with_offsets(field, rng):
+    """``field`` with every parameter shifted, so the biases are non-zero."""
+    return field.with_params([Tensor(p.data + 0.1 * rng.normal(size=p.shape), requires_grad=True)
+                              for p in field.params])
 
 
 def value_and_grads(field, loss_fn):
@@ -101,11 +110,9 @@ def test_loss_full_matches_op_by_op(convention, target_norm, source):
 def test_drawn_shapes_match_op_by_op(widths, dim, embed, batch_size, lam, seed):
     cfg = FieldConfig(input_dim=dim, hidden_widths=tuple(widths), time_embed_dim=embed,
                       base_frequency=20.0, seed=seed)
-    field = init_params(cfg)
     rng = np.random.default_rng(seed)
     # non-zero biases exercise the bias adjoints as well
-    field = field.with_params([Tensor(p.data + 0.1 * rng.normal(size=p.shape), requires_grad=True)
-                               for p in field.params])
+    field = with_offsets(init_params(cfg), rng)
     batch = make_batch(rng, batch_size, dim, "interval_ratio")
     assert_matches_oracle(field, lambda: loss_lambda(field, batch, lam))
 
@@ -264,3 +271,97 @@ def test_float32_adjoint_beyond_its_range_gives_a_non_finite_gradient():
             grads = backward(loss)
         assert np.isfinite(float(loss.data))
         assert all(np.isfinite(grads.wrt(p)).all() for p in f.params) == finite
+
+
+# ---------------------------------------------------------------------------
+# the blocked pass of a forward that neither records nor carries a tangent
+
+BATCHES = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+
+
+def inference_inputs(rng, b, constant):
+    """x, r, t of ``b`` rows; ``constant`` holds each time fixed (folded)."""
+    x = rng.normal(size=(b, 2))
+    if constant:
+        return x, np.full(b, 0.25), np.full(b, 0.75)
+    return (x, *sample_time_pairs(rng, b, TimePairConfig()))
+
+
+@pytest.mark.parametrize("constant", [True, False])
+@pytest.mark.parametrize("b", BATCHES)
+def test_blocked_pass_matches_op_by_op(b, constant):
+    rng = np.random.default_rng(13)
+    field = with_offsets(init_params(CFG), rng)
+    args = [as_tensor(a) for a in inference_inputs(rng, b, constant)]
+    u = field.forward(*args).data
+    ref = field._forward_ops(*args).data
+    assert u.shape == ref.shape == (b, 2) and u.dtype == np.float64
+    if b:
+        assert rel(u, ref) <= TOL
+
+
+@pytest.mark.parametrize("constant", [True, False])
+@pytest.mark.parametrize("b", BATCHES[1:])
+def test_float32_blocked_pass_matches_float64(b, constant):
+    rng = np.random.default_rng(14)
+    field = with_offsets(init_params(CFG), rng)
+    args = [as_tensor(a) for a in inference_inputs(rng, b, constant)]
+    u = field.with_compute_dtype(np.float32).forward(*args).data
+    assert u.dtype == np.float64
+    assert rel(u, field.forward(*args).data) <= 1e-5
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_nan_in_one_row_stays_in_that_row(constant):
+    rng = np.random.default_rng(15)
+    field = with_offsets(init_params(CFG), rng)
+    b = 3 * _BLOCK_ROWS + 7
+    x, r, t = inference_inputs(rng, b, constant)
+    bad = _BLOCK_ROWS + 3
+    x[bad, 1] = np.nan
+    u = field.forward(as_tensor(x), as_tensor(r), as_tensor(t)).data
+    assert np.isnan(u[bad]).all()
+    assert np.isfinite(np.delete(u, bad, axis=0)).all()
+
+
+def test_one_step_on_threads_beside_an_open_tape_is_the_serial_result():
+    field = with_offsets(init_params(CFG), np.random.default_rng(16))
+    x1 = np.random.default_rng(17).normal(size=(3 * _BLOCK_ROWS + 7, 2))
+    serial = one_step_sample(field, x1)
+    results = [None] * 4
+
+    def request(i):
+        results[i] = one_step_sample(field, x1)
+
+    with Tape() as tape:
+        workers = [threading.Thread(target=request, args=(i,)) for i in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    assert not any(w.is_alive() for w in workers)
+    assert len(tape) == 0
+    assert all(res is not None and np.array_equal(res, serial) for res in results)
+
+
+def test_few_step_single_step_is_bitwise_one_step_beyond_one_block():
+    field = with_offsets(init_params(CFG), np.random.default_rng(18))
+    x1 = np.random.default_rng(19).normal(size=(3 * _BLOCK_ROWS + 7, 2))
+    assert np.array_equal(few_step_sample(field, x1, 1).endpoints, one_step_sample(field, x1))
+
+
+@pytest.mark.parametrize("sample, limit_mb", [
+    (one_step_sample, 16),
+    (lambda field, x1: few_step_sample(field, x1, 4), 24),
+], ids=["one_step", "few_step_n4"])
+def test_sampler_memory_does_not_grow_with_width_times_rows(sample, limit_mb):
+    # at 65 536 rows one [rows, 128] float64 activation alone is 64 MB
+    field = init_params(REFERENCE)
+    x1 = np.random.default_rng(20).normal(size=(65536, 2))
+    tracemalloc.start()
+    try:
+        sample(field, x1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 2**20
