@@ -1,9 +1,11 @@
 """Minimal dense-tensor autodiff: reverse-mode tape + forward-mode JVP.
 
-Every tensor, tape value and gradient is float64. A hand-written node
+Every tensor and tape value is float64. A hand-written node
 (``_emit_multi``) may compute in another dtype inside: the velocity MLP
 does its arithmetic in float32 while ``train`` steps it, and still takes
-and emits float64. A ``Tape`` records operations whenever at least one
+and emits float64. Its contributions to its inputs' gradients stay in its
+dtype inside ``backward``; ``Gradients`` hands every gradient out as
+float64. A ``Tape`` records operations whenever at least one
 input is attached to it (parameters are attached lazily via their
 ``requires_grad`` flag). ``backward`` walks the tape once in reverse and
 returns a gradient map. ``jvp`` runs the same operations on dual numbers;
@@ -336,6 +338,20 @@ def _emit_multi(tape: Tape, kind: str, outs: tuple, in_gids: tuple, backward_fn)
         out._tape = tape
         out._gid = tape._new_gid()
     tape.nodes.append(_Node(kind, in_gids, tuple(o._gid for o in outs), backward_fn))
+
+
+def _leaf_views(flat: np.ndarray, like) -> list:
+    """Read-only views of the flat vector ``flat`` shaped as the tensors
+    ``like``, in order; each is a leaf that requires grad."""
+    views, offset = [], 0
+    for t in like:
+        view = flat[offset:offset + t.size].reshape(t.shape)
+        view.flags.writeable = False
+        leaf = Tensor._wrap(view)
+        leaf.requires_grad = True
+        views.append(leaf)
+        offset += t.size
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -737,17 +753,38 @@ def sg_lambda(z, lam: float):
 
 
 class Gradients:
-    """Gradient map produced by ``backward``, keyed by graph id."""
+    """Gradient map produced by ``backward``, keyed by graph id.
+
+    A hand-written node may leave its contributions in the dtype it
+    computes in (the fused MLP node's float32 pass); ``wrt`` and
+    ``wrt_flat`` hand them out as float64.
+    """
 
     def __init__(self, by_gid: dict, tape: Tape):
         self._by_gid = by_gid
         self._tape = tape
 
+    def _raw(self, tensor: Tensor):
+        if tensor._tape is self._tape:
+            return self._by_gid.get(tensor._gid)
+        return None
+
     def wrt(self, tensor: Tensor) -> np.ndarray:
         """Gradient for a tensor; zeros when it never entered the graph."""
-        if tensor._tape is self._tape and tensor._gid in self._by_gid:
-            return self._by_gid[tensor._gid]
-        return np.zeros(tensor.shape)
+        g = self._raw(tensor)
+        if g is None:
+            return np.zeros(tensor.shape)
+        return np.asarray(g, dtype=np.float64)
+
+    def wrt_flat(self, tensors, out: np.ndarray) -> np.ndarray:
+        """The gradients of ``tensors``, raveled and concatenated in order
+        into the float64 vector ``out`` by one ``concatenate`` that casts as
+        it copies; returns ``out``."""
+        parts = []
+        for t in tensors:
+            g = self._raw(t)
+            parts.append(np.zeros(t.size) if g is None else g.reshape(-1))
+        return np.concatenate(parts, out=out)
 
 
 def backward(loss: Tensor) -> Gradients:
@@ -792,7 +829,20 @@ def backward(loss: Tensor) -> Gradients:
     for node in tape.nodes:
         node.backward_fn = None
     # anything left belongs to leaves (constants never acquire ids)
-    return Gradients({k: np.asarray(v, dtype=np.float64) for k, v in grads.items()}, tape)
+    return Gradients(grads, tape)
+
+
+def _view(x) -> Tensor:
+    """``as_tensor`` without a copy for a float64 array: a constant over a
+    read-only view of it."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float64:
+        t = Tensor.__new__(Tensor)
+        t.data = x.view()
+        t.data.flags.writeable = False
+        t.requires_grad = False
+        t._tape = t._gid = None
+        return t
+    return as_tensor(x)
 
 
 def jvp(f: Callable, inputs, tangents, attach: bool = False):
@@ -802,24 +852,34 @@ def jvp(f: Callable, inputs, tangents, attach: bool = False):
     ``f(inputs)`` (same operations, same order). The derivative is a
     detached constant unless ``attach`` is true, in which case its
     computation is recorded so reverse mode can differentiate through it.
+
+    A tangent of ``None`` holds its input fixed: ``f`` receives that input
+    as a plain ``Tensor``. Float64 arrays are read in place, not copied, so
+    they must not be written to until the result (and any gradient taken
+    through it) has been used.
     """
-    inputs = [as_tensor(x) for x in inputs]
-    tangents = [as_tensor(v) for v in tangents]
     if len(inputs) != len(tangents):
         raise ValueError(
             f"jvp: {len(inputs)} inputs but {len(tangents)} tangents"
         )
-    duals = []
+    args = []
     for i, (x, v) in enumerate(zip(inputs, tangents)):
+        x = _view(x)
+        if v is None:
+            args.append(x)
+            continue
+        v = _view(v)
         if x.shape != v.shape:
             raise ShapeMismatchError(
                 f"jvp: input {i} has shape {x.shape} but its tangent has "
                 f"shape {v.shape}"
             )
-        duals.append(DualTensor(x, v))
+        dual = DualTensor.__new__(DualTensor)  # shapes checked just above
+        dual.primal, dual.tangent = x, v
+        args.append(dual)
     token = _DUAL_ATTACH.set(bool(attach))
     try:
-        out = f(*duals)
+        out = f(*args)
     finally:
         _DUAL_ATTACH.reset(token)
     if isinstance(out, DualTensor):

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import ctypes
 import datetime
+import functools
 import hashlib
 import inspect
 import json
@@ -426,7 +428,8 @@ def cmd_train(config_path, out=None, seed=None) -> int:
     config = load_config(config_path)
     _override_seed(config, seed)
     run = _Run(_resolve_out(config, out), config)
-    _, result = _train_into(run, config)
+    with _on_one_blas_thread():
+        _, result = _train_into(run, config)
     run.seal()
     if result.halted:
         print(f"training halted at step {result.halt_step}: {result.halt_reason}",
@@ -574,9 +577,11 @@ def _worker_count(raw, jobs: int, cpus: int) -> int:
     return max(1, min(requested, jobs, cpus))
 
 
+@functools.lru_cache(maxsize=None)
 def _openblas(name: str):
     """The function ``openblas_<name>`` of the OpenBLAS this process has
-    loaded, or None when none is found."""
+    loaded, or None when none is found. The lookup scans the process's
+    memory map, so its result is cached."""
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -594,18 +599,37 @@ def _openblas(name: str):
     return None
 
 
-def _one_blas_thread():
-    """Pool initializer: a forked worker keeps the parent's BLAS thread
-    count, so workers would share the cores between them."""
-    set_threads = _openblas("set_num_threads")
-    if set_threads is not None:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
+def _set_blas_threads(n: int):
+    """Set OpenBLAS's thread count to ``n``; returns the count it had, or
+    None (and changes nothing) without OpenBLAS."""
+    get_threads, set_threads = _openblas("get_num_threads"), _openblas("set_num_threads")
+    if get_threads is None or set_threads is None:
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    before = get_threads()
+    set_threads(n)
+    return before
+
+
+@contextlib.contextmanager
+def _on_one_blas_thread():
+    """Train on one BLAS thread, then restore the count. At the reference
+    shape a step is faster on one thread than on two (the matmuls are too
+    small to split), and training bits do not depend on the count."""
+    before = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if before is not None:
+            _set_blas_threads(before)
 
 
 def _pool(workers: int):
-    return concurrent.futures.ProcessPoolExecutor(max_workers=workers,
-                                                  initializer=_one_blas_thread)
+    # a forked worker keeps the parent's BLAS thread count, so workers
+    # would share the cores between them
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_set_blas_threads, initargs=(1,))
 
 
 def _ablation_variant(config: dict, name: str, out_dir: str) -> dict:
@@ -639,7 +663,8 @@ def run_ablation(config: dict, out_dir) -> list:
     workers = _worker_count(os.environ.get("MMF_THREADS"), len(names), os.cpu_count() or 1)
     jobs = ([config] * len(names), names, [out_dir] * len(names))
     if workers == 1:
-        return list(map(_ablation_variant, *jobs))
+        with _on_one_blas_thread():
+            return list(map(_ablation_variant, *jobs))
     with _pool(workers) as pool:
         return list(pool.map(_ablation_variant, *jobs))
 

@@ -114,7 +114,9 @@ class VelocityField:
     """Parameterized average-velocity model u(x, r, t).
 
     Parameters are immutable float64 tensors; an update produces a new
-    field via ``with_params``. ``compute_dtype`` is the dtype the MLP
+    field via ``with_params``, except on a ``with_flat_params`` copy, whose
+    parameters are views into one vector that ``train`` steps in place.
+    ``compute_dtype`` is the dtype the MLP
     computes in: float64 by default, float32 on the copy that ``train``
     steps (``with_compute_dtype``). Inputs, outputs, tangents and gradients
     are float64 either way. Forward evaluation is deterministic given the
@@ -126,6 +128,7 @@ class VelocityField:
         self.weights = list(weights)
         self.biases = list(biases)
         self.compute_dtype = np.float64
+        self.flat_params = None
         self._embedding = TimeEmbedding(config.time_embed_dim, config.base_frequency)
         self._freqs = self._embedding.frequencies()
 
@@ -147,12 +150,23 @@ class VelocityField:
         field = copy.copy(self)  # shares the config and the frequency ladder
         field.weights = list(params[0::2])
         field.biases = list(params[1::2])
+        field.flat_params = None
         return field
 
     def with_compute_dtype(self, dtype) -> "VelocityField":
         """The same field computing its MLP in ``dtype``."""
         field = copy.copy(self)
         field.compute_dtype = dtype
+        return field
+
+    def with_flat_params(self) -> "VelocityField":
+        """A copy whose parameters are read-only views into one new flat
+        float64 vector, ``flat_params``, laid out in ``params`` order.
+        Writing into ``flat_params`` updates them in place, which is how
+        ``train`` steps them."""
+        flat = np.concatenate([p.data.ravel() for p in self.params])
+        field = self.with_params(ad._leaf_views(flat, self.params))
+        field.flat_params = flat
         return field
 
     def forward(self, x, r, t):
@@ -176,7 +190,7 @@ class VelocityField:
         rounded), the tangent blocks, every matmul, ``tanh`` and the
         reverse pass run in ``compute_dtype``; the weights are cast once
         per call. ``u`` and ``du`` are float64, the reverse pass casts the
-        incoming adjoints down, and ``backward`` returns float64 gradients.
+        incoming adjoints down, and ``Gradients`` hands out float64.
         In float32 an input or adjoint beyond its range (about 3.4e38)
         becomes infinite when it is cast.
 
@@ -184,25 +198,24 @@ class VelocityField:
         is raised when ``r`` or ``t`` is attached to the recording tape, or,
         inside ``jvp(..., attach=True)``, when their tangent is.
         """
-        (xp, dx), (rp, dr), (tp, dt) = (ad._unpack(v) for v in (x, r, t))
+        xp, dx = ad._unpack(x)
+        rp, dr = ad._unpack(r)
+        tp, dt = ad._unpack(t)
         b = self._check_inputs(xp, rp, tp)
         dual = dx is not None or dr is not None or dt is not None
         attach = dual and ad._DUAL_ATTACH.get()
         tape = ad._active_tape()
-        if tape is not None and (
-            _attached(tape, rp) or _attached(tape, tp)
-            or attach and (_attached(tape, dr) or _attached(tape, dt))
-        ):
-            raise ValueError(
-                "field forward: r, t and their tangents must not be attached "
-                "to the recording tape"
-            )
         if tape is not None:
-            in_gids = tuple(ad._gid_on(tape, p) for p in self.params) + (
-                ad._gid_on(tape, xp),
-                ad._gid_on(tape, dx) if attach and dx is not None else None,
-            )
-            if all(g is None for g in in_gids):
+            if (_attached(tape, rp) or _attached(tape, tp)
+                    or attach and (_attached(tape, dr) or _attached(tape, dt))):
+                raise ValueError(
+                    "field forward: r, t and their tangents must not be attached "
+                    "to the recording tape"
+                )
+            gid_on = ad._gid_on
+            in_gids = [gid_on(tape, p) for p in self.params]
+            in_gids += (gid_on(tape, xp), gid_on(tape, dx) if attach and dx is not None else None)
+            if in_gids.count(None) == len(in_gids):
                 tape = None
         record = tape is not None
         if not (record or dual):
@@ -262,7 +275,7 @@ class VelocityField:
 
             def bwd(gu, gdu=None):
                 # adjoints arrive in float64; the reverse pass runs in the
-                # forward's dtype, and ``backward`` hands out float64 again
+                # forward's dtype, and ``Gradients`` hands out float64
                 gz = gu.astype(ct, copy=False) if gu is not None else np.zeros_like(h)
                 gdz = None if gdu is None else gdu.astype(ct, copy=False)
                 out = [None] * len(in_gids)
@@ -380,10 +393,12 @@ class VelocityField:
         return b
 
     def _embed(self, tv: np.ndarray, out: np.ndarray):
-        """Numpy ``TimeEmbedding.embed_batch`` into ``out``, same rounding."""
+        """Numpy ``TimeEmbedding.embed_batch`` into ``out``, same rounding:
+        ``sin`` and ``cos`` run in float64 and round as they store into
+        ``out``, with no float64 temporary."""
         phases = tv[:, None] * self._freqs
-        out[:, 0::2] = np.sin(phases)
-        out[:, 1::2] = np.cos(phases)
+        np.sin(phases, out=out[:, 0::2])
+        np.cos(phases, out=out[:, 1::2])
 
     def _embed_tangent(self, emb: np.ndarray, dtv: np.ndarray) -> np.ndarray:
         """Tangent of an embedding block ``emb`` under a time tangent ``dtv``."""

@@ -6,9 +6,10 @@ The regression target is (x1 - x0)/(t - r) and is always detached.
 
 ``loss_lambda`` is the tunable objective: the derivative bracket
 d_t u + (grad_x u) target is computed with one forward-mode call (its value
-doubles as the field evaluation), wrapped in the partial stop-gradient so
-its value never depends on the modulation factor while its gradient scales
-linearly with it. ``loss_full`` instead feeds the field's own output back
+doubles as the field evaluation) and enters the loss under the partial
+stop-gradient, so its value never depends on the modulation factor while
+its gradient scales linearly with it. The residual and its mean square are
+one tape node. ``loss_full`` instead feeds the field's own output back
 into the bracket and keeps everything attached, which needs
 reverse-over-forward support.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import as_tensor, forward_fn, jvp, sg_lambda
+from .autodiff import Tensor, as_tensor, forward_fn, jvp
 
 __all__ = [
     "MIN_GAP_FLOOR",
@@ -137,27 +138,30 @@ def sample_time_pairs(rng, batch_size: int, cfg: TimePairConfig):
     r = np.zeros(batch_size)
     t = np.zeros(batch_size)
 
-    idx = np.flatnonzero(anchored)
+    idx = anchored.nonzero()[0]
     while idx.size:
-        t[idx] = rng.random(idx.size)
-        idx = idx[t[idx] < g]
+        draw = rng.random(idx.size)
+        t[idx] = draw
+        idx = idx[draw < g]
 
-    idx = np.flatnonzero(~anchored)
+    idx = (~anchored).nonzero()[0]
     while idx.size:
         u = rng.random((idx.size, 2))
-        r[idx] = u.min(axis=1)
-        t[idx] = u.max(axis=1)
-        bad = (t[idx] - r[idx] < g) | (1.0 - r[idx] < g)
-        idx = idx[bad]
+        lo = np.minimum(u[:, 0], u[:, 1])
+        hi = np.maximum(u[:, 0], u[:, 1])
+        r[idx] = lo
+        t[idx] = hi
+        idx = idx[(hi - lo < g) | (1.0 - lo < g)]
     return r, t
 
 
 def interpolate(x0, x1, r, t) -> np.ndarray:
     """x_t = (1 - a) x0 + a x1 with a = (t - r)/(1 - r)."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
+    return _interpolate(*(np.asarray(a, dtype=np.float64) for a in (x0, x1, r, t)))
+
+
+def _interpolate(x0, x1, r, t) -> np.ndarray:
+    """``interpolate`` of float64 arrays."""
     if np.any(1.0 - r < MIN_GAP_FLOOR):
         raise ValueError(f"interpolate: r too close to 1 (needs 1 - r >= {MIN_GAP_FLOOR})")
     alpha = (t - r) / (1.0 - r)
@@ -185,7 +189,7 @@ def build_batch(x0, x1, r, t, convention: str = "interval_ratio") -> TrainingBat
     r = np.asarray(r, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if convention == "interval_ratio":
-        x_t = interpolate(x0, x1, r, t)
+        x_t = _interpolate(x0, x1, r, t)
     elif convention == "absolute_time":
         x_t = (1.0 - t)[..., None] * x0 + t[..., None] * x1
     else:
@@ -219,30 +223,57 @@ def _loss_target(batch: TrainingBatch, target_norm: str) -> np.ndarray:
     raise ValueError(f"unknown target normalization: {target_norm!r}")
 
 
+def _residual_loss(u, bracket, gap: np.ndarray, target: np.ndarray, lam: float):
+    """Mean squared residual ``|u + gap * bracket - target|^2 / b`` as one
+    tape node over ``u`` and ``bracket``, the adjoint into ``bracket``
+    scaled by ``lam``.
+
+    It rounds like the op chain it replaces (``scale_rows`` of the
+    ``sg_lambda``-wrapped bracket, ``add``, ``sub``, ``square``, ``sum_all``,
+    ``div``): the residual is ``(u + bracket * gap) - target`` and the value
+    ``sum(res^2) / b``; the adjoints are ``gu = (2 res) * (g / b)`` and
+    ``gdu = (gu * gap) * lam``, the last product skipped at ``lam = 1``.
+    """
+    b = float(u.shape[0])
+    res = bracket.data * gap[:, None]
+    res += u.data
+    res -= target
+    out = Tensor._wrap(np.asarray(np.square(res).sum() / b))
+
+    def bwd(g):
+        gu = 2.0 * res
+        gu *= g / b
+        if lam == 0.0:
+            return gu, None
+        gdu = gu * gap[:, None]
+        if lam != 1.0:
+            gdu *= lam
+        return gu, gdu
+
+    return ad._emit("residual_loss", out, (u, bracket), bwd)
+
+
 def loss_lambda(field, batch: TrainingBatch, lam: float,
                 target_norm: str = "sampled_gap"):
     """Mean squared residual of u + (t-r) SG[d_t u + (grad_x u) target] - target.
 
-    One forward-mode call supplies both the field value and the bracket.
-    The bracket stays attached to the tape whenever lam > 0 so its share of
-    the gradient can flow; at lam = 0 it is a detached constant.
+    One forward-mode call supplies both the field value and the bracket,
+    and the residual and its square mean are one tape node after it. The
+    bracket stays attached to the tape whenever lam > 0 so its share of
+    the gradient (scaled by lam) can flow; at lam = 0 it is a detached
+    constant.
     """
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"modulation factor {lam} outside [0, 1]")
     target = _loss_target(batch, target_norm)
-    gap = batch.t - batch.r
     u, bracket = jvp(
         forward_fn(field),
         [batch.x_t, batch.r, batch.t],
-        [target, np.zeros_like(batch.r), np.ones_like(batch.t)],
+        [target, None, np.ones_like(batch.t)],
         attach=lam > 0.0,
     )
-    residual = ad.sub(
-        ad.add(u, ad.scale_rows(sg_lambda(bracket, lam), as_tensor(gap))),
-        as_tensor(target),
-    )
-    return ad.div(ad.sum_all(ad.square(residual)), float(batch.size))
+    return _residual_loss(u, bracket, batch.t - batch.r, target, lam)
 
 
 def loss_full(field, batch: TrainingBatch, bracket_velocity: str = "field",
@@ -258,7 +289,6 @@ def loss_full(field, batch: TrainingBatch, bracket_velocity: str = "field",
     if bracket_velocity not in ("field", "target"):
         raise ValueError(f"unknown bracket velocity source: {bracket_velocity!r}")
     target = _loss_target(batch, target_norm)
-    gap = batch.t - batch.r
     fwd = forward_fn(field)
     if bracket_velocity == "field":
         seed = fwd(as_tensor(batch.x_t), as_tensor(batch.r), as_tensor(batch.t))
@@ -270,7 +300,4 @@ def loss_full(field, batch: TrainingBatch, bracket_velocity: str = "field",
         [seed, np.zeros_like(batch.r), np.ones_like(batch.t)],
         attach=True,
     )
-    residual = ad.sub(
-        ad.add(u, ad.scale_rows(bracket, as_tensor(gap))), as_tensor(target)
-    )
-    return ad.div(ad.sum_all(ad.square(residual)), float(batch.size))
+    return _residual_loss(u, bracket, batch.t - batch.r, target, 1.0)

@@ -12,13 +12,14 @@ parameters and the checkpoints are float64.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward
+from .autodiff import Tape, _leaf_views, backward
 from .field_model import save_checkpoint, write_atomic
 from .objectives import (
     TimePairConfig,
@@ -45,10 +46,11 @@ class NonFiniteGradientError(RuntimeError):
     """A gradient contained NaN or infinity; the step was aborted.
 
     ``index`` is the position of the first offending parameter in the
-    list ``adam_step`` was given."""
+    list ``adam_step`` was given, or of the first offending entry when it
+    was given one flat vector."""
 
-    def __init__(self, index: int):
-        super().__init__(f"non-finite gradient in parameter {index}")
+    def __init__(self, index: int, what: str = "parameter"):
+        super().__init__(f"non-finite gradient in {what} {index}")
         self.index = index
 
 
@@ -102,7 +104,8 @@ class OptimizerState:
 
     @classmethod
     def init(cls, params, beta1=0.9, beta2=0.999, eps=1e-8) -> "OptimizerState":
-        n = sum(p.size for p in params)
+        """Zero moments for ``params``: a list of tensors or one flat vector."""
+        n = params.size if isinstance(params, np.ndarray) else sum(p.size for p in params)
         return cls(m=np.zeros(n), v2=np.zeros(n), step=0,
                    beta1=beta1, beta2=beta2, eps=eps)
 
@@ -122,22 +125,32 @@ def _flat(arrays) -> np.ndarray:
 
 
 def adam_step(state: OptimizerState, params, grads, lr: float):
-    """One bias-corrected Adam update; returns (state, new params).
+    """One bias-corrected Adam update; returns ``(state, params)``.
 
-    ``grads`` is one array per parameter or their concatenation. The
-    moments in ``state`` are updated in place; the new parameters are
-    read-only views into one new flat vector. The bias correction is folded
-    into the step size (lr * sqrt(1 - b2^t) / (1 - b1^t)) with eps added to
-    the uncorrected root. Non-finite gradients abort the step before
-    anything is written: the exception carries the event and both state and
-    parameters stay untouched.
+    ``params`` is either one flat float64 vector, which is updated in place
+    and returned (``train`` passes its ``flat_params``), or a list of
+    tensors, which are left as they were: their new values go into one new
+    flat vector and come back as its read-only views. ``grads`` is one array
+    per parameter or their concatenation. The moments in ``state`` are
+    updated in place. The bias correction is folded into the step size
+    (lr * sqrt(1 - b2^t) / (1 - b1^t)) with eps added to the uncorrected
+    root. Non-finite gradients abort the step before anything is written:
+    the exception carries the event and both state and parameters stay
+    untouched.
     """
+    if not isinstance(params, np.ndarray):
+        flat = _flat([p.data for p in params])
+        try:
+            adam_step(state, flat, grads, lr)
+        except NonFiniteGradientError as err:
+            ends = np.cumsum([p.size for p in params])
+            raise NonFiniteGradientError(
+                int(np.searchsorted(ends, err.index, side="right"))) from None
+        return state, _leaf_views(flat, params)
     g = _flat(grads)
     finite = np.isfinite(g)
     if not finite.all():
-        bad = int(np.argmin(finite))
-        index = int(np.searchsorted(np.cumsum([p.size for p in params]), bad, side="right"))
-        raise NonFiniteGradientError(index)
+        raise NonFiniteGradientError(int(np.argmin(finite)), "entry")
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     step_size = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
@@ -158,17 +171,9 @@ def adam_step(state: OptimizerState, params, grads, lr: float):
     denom += state.eps
     np.multiply(m, step_size, out=work)
     work /= denom
-    flat = _flat([p.data for p in params])
-    flat -= work
-    flat.flags.writeable = False
+    params -= work
     state.step = t
-    new_params, offset = [], 0
-    for p in params:
-        view = Tensor._wrap(flat[offset:offset + p.size].reshape(p.shape))
-        view.requires_grad = True
-        new_params.append(view)
-        offset += p.size
-    return state, new_params
+    return state, params
 
 
 def global_grad_norm(grads) -> float:
@@ -278,8 +283,11 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
 
     The field stepped here computes its MLP in float32 (mixed precision:
     the parameters, the Adam moments, the gradient vector, the loss and
-    the grad norm stay float64). The returned field computes in float64
-    again, like one loaded from the final checkpoint.
+    the grad norm stay float64). Its parameters live in one flat vector
+    (``with_flat_params``) that ``adam_step`` updates in place. When the
+    last periodic checkpoint falls on the final step, the final one is a
+    byte copy of it. The returned field computes in float64 again, like
+    one loaded from the final checkpoint.
     """
     if batch_fn is None:
         if config.task is None:
@@ -291,17 +299,16 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
     time_rng = np.random.default_rng(time_ss)
     data_rng = np.random.default_rng(data_ss)
 
-    field = field.with_compute_dtype(np.float32)
-    params = field.params
-    state = OptimizerState.init(params)
-    grad = np.empty_like(state.m)  # every step's gradient, reused (see OptimizerState)
+    field = field.with_compute_dtype(np.float32).with_flat_params()
+    params, flat = field.params, field.flat_params
+    ends = np.cumsum([p.size for p in params])  # flat entry -> parameter index
+    state = OptimizerState.init(flat)
+    grad = np.empty_like(flat)  # every step's gradient, reused (see OptimizerState)
     log = TrainLog()
     checkpoints = []
     last_loss = last_grad_norm = None
 
     def write_ckpt(step_label):
-        if out_dir is None:
-            return
         path = os.path.join(out_dir, f"ckpt_{step_label}.json")
         save_checkpoint(field, path)
         checkpoints.append(path)
@@ -314,6 +321,7 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
             halt_lambda=float(lam), halt_lr=float(lr),
         )
 
+    every = config.checkpoint_every if out_dir is not None else 0
     for step in range(config.total_steps):
         batch = batch_fn(data_rng, time_rng, config.batch_size, config.time_pairs)
         lam = config.schedule.at(step)
@@ -322,30 +330,38 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
         with Tape():
             loss = loss_lambda(field, batch, lam, target_norm=config.target_norm)
         loss_val = float(loss.data)
-        if not np.isfinite(loss_val):
+        if not math.isfinite(loss_val):
             return halt(step, lam, lr, f"non-finite loss at step {step}")
         last_loss = loss_val
         grads = backward(loss)
-        np.concatenate([grads.wrt(p).ravel() for p in params], out=grad)
+        grads.wrt_flat(params, out=grad)
         grad_norm = global_grad_norm(grad)
-        if np.isfinite(grad_norm):
+        if math.isfinite(grad_norm):
             last_grad_norm = grad_norm
         if config.grad_clip is not None and grad_norm > config.grad_clip:
             grad *= config.grad_clip / grad_norm
         try:
-            state, params = adam_step(state, params, grad, lr)
+            adam_step(state, flat, grad, lr)  # steps ``field`` in place
         except NonFiniteGradientError as err:
-            label = field.param_labels[err.index]
+            label = field.param_labels[int(np.searchsorted(ends, err.index, side="right"))]
             return halt(step, lam, lr, f"non-finite gradient in {label} at step {step}", label)
-        field = field.with_params(params)
 
         if _should_log(step, config.total_steps, config.log_every):
             log.append(step, loss_val, grad_norm, lam, lr)
-        if config.checkpoint_every and (step + 1) % config.checkpoint_every == 0:
+        if every and (step + 1) % every == 0:
             write_ckpt(step + 1)
 
-    if config.total_steps:
-        write_ckpt("final")
+    if config.total_steps and out_dir is not None:
+        if every and config.total_steps % every == 0:
+            # the last periodic checkpoint already holds the final parameters;
+            # its JSON is one ASCII line, so a text copy is a byte copy
+            final = os.path.join(out_dir, "ckpt_final.json")
+            with open(checkpoints[-1]) as fh:
+                text = fh.read()
+            write_atomic(final, lambda fh: fh.write(text))
+            checkpoints.append(final)
+        else:
+            write_ckpt("final")
     return TrainResult(field.with_compute_dtype(np.float64), log, checkpoints)
 
 

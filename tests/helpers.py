@@ -43,3 +43,104 @@ class EvalCounter:
     def forward(self, x, r, t):
         self.calls += 1
         return self._fn(x, r, t)
+
+
+# ---------------------------------------------------------------------------
+# the training step as it was before the fused loss node and the flat
+# parameter vector: the oracle that ``train`` must match byte for byte
+
+
+def op_chain_loss(field, batch, lam, target_norm="sampled_gap"):
+    """``loss_lambda`` written as a chain of generic tape operations:
+    ``sg_lambda``, ``scale_rows``, ``add``, ``sub``, ``square``, ``sum_all``
+    and ``div`` after the jvp (6 tape nodes at lambda = 0, 8 above)."""
+    from mmflow import autodiff as ad
+    from mmflow.objectives import _loss_target
+
+    target = _loss_target(batch, target_norm)
+    gap = batch.t - batch.r
+    u, bracket = ad.jvp(
+        ad.forward_fn(field),
+        [batch.x_t, batch.r, batch.t],
+        [target, np.zeros_like(batch.r), np.ones_like(batch.t)],
+        attach=lam > 0.0,
+    )
+    return op_chain_residual_loss(u, bracket, gap, target, lam)
+
+
+def op_chain_residual_loss(u, bracket, gap, target, lam):
+    """Mean squared residual ``|u + gap * SG_lam[bracket] - target|^2 / b``
+    in generic tape operations."""
+    from mmflow import autodiff as ad
+
+    residual = ad.sub(
+        ad.add(u, ad.scale_rows(ad.sg_lambda(bracket, lam), ad.as_tensor(gap))),
+        ad.as_tensor(target),
+    )
+    return ad.div(ad.sum_all(ad.square(residual)), float(u.shape[0]))
+
+
+def copying_adam_step(state, params, grads, lr):
+    """Adam over a list of tensors that copies the parameters into a new
+    flat vector each step and returns read-only views of it."""
+    from mmflow.autodiff import Tensor
+
+    g = np.concatenate([np.ravel(a) for a in grads]) if isinstance(grads, list) else grads
+    t = state.step + 1
+    b1, b2 = state.beta1, state.beta2
+    step_size = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+    m, v2 = state.m, state.v2
+    m *= b1
+    m += g * (1.0 - b1)
+    v2 *= b2
+    v2 += g * (1.0 - b2) * g
+    flat = np.concatenate([p.data.ravel() for p in params])
+    flat -= m * step_size / (np.sqrt(v2) + state.eps)
+    flat.flags.writeable = False
+    state.step = t
+    new_params, offset = [], 0
+    for p in params:
+        view = Tensor._wrap(flat[offset:offset + p.size].reshape(p.shape))
+        view.requires_grad = True
+        new_params.append(view)
+        offset += p.size
+    return state, new_params
+
+
+def reference_train(field, config, batch_fn):
+    """The training loop of ``train`` with ``op_chain_loss`` and
+    ``copying_adam_step``: a new field per step, the float32 copy cast
+    tensor by tensor inside each forward. No halts, no checkpoints.
+    Returns the final float64 field and the ``TrainLog``."""
+    from mmflow.autodiff import Tape, backward
+    from mmflow.trainer import (
+        OptimizerState,
+        TrainLog,
+        _should_log,
+        cosine_lr,
+        global_grad_norm,
+    )
+
+    _, time_ss, data_ss = np.random.SeedSequence(config.seed).spawn(3)
+    time_rng = np.random.default_rng(time_ss)
+    data_rng = np.random.default_rng(data_ss)
+    field = field.with_compute_dtype(np.float32)
+    params = field.params
+    state = OptimizerState.init(params)
+    log = TrainLog()
+    for step in range(config.total_steps):
+        batch = batch_fn(data_rng, time_rng, config.batch_size, config.time_pairs)
+        lam = config.schedule.at(step)
+        lr = cosine_lr(config.lr0, step, config.total_steps)
+        with Tape():
+            loss = op_chain_loss(field, batch, lam, target_norm=config.target_norm)
+        grads = backward(loss)
+        grad = np.concatenate([grads.wrt(p).ravel() for p in params])
+        grad_norm = global_grad_norm(grad)
+        if config.grad_clip is not None and grad_norm > config.grad_clip:
+            grad *= config.grad_clip / grad_norm
+        state, params = copying_adam_step(state, params, grad, lr)
+        field = field.with_params(params)
+        if _should_log(step, config.total_steps, config.log_every):
+            log.append(step, float(loss.data), grad_norm, lam, lr)
+    return field.with_compute_dtype(np.float64), log

@@ -491,6 +491,41 @@ def test_ablation_pool_workers_use_one_blas_thread():
         assert pool.submit(_blas_threads).result(timeout=60) == 1
 
 
+def test_cmd_train_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    get_threads, set_threads = cli._openblas("get_num_threads"), cli._openblas("set_num_threads")
+    if get_threads is None or set_threads is None:
+        pytest.skip("numpy is not linked against OpenBLAS here")
+    seen = []
+    real_train = cli.train
+
+    def recording(*args, **kwargs):
+        seen.append(_blas_threads())
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", recording)
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    before = _blas_threads()
+    set_threads(2)
+    try:
+        assert cli.main(["train", "--config", str(smoke_config(tmp_path)),
+                         "--out", str(tmp_path / "run")]) == 0
+        assert seen == [1]
+        assert _blas_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_final_checkpoint_is_a_byte_copy_of_the_last_periodic_one(tmp_path):
+    config = smoke_config(tmp_path, train={"total_steps": 30, "batch_size": 8, "lr0": 1e-3,
+                                           "seed": 2, "log_every": 10, "checkpoint_every": 15})
+    out = tmp_path / "run"
+    assert cmd_train(config, out=str(out)) == 0
+    assert (out / "ckpt_final.json").read_bytes() == (out / "ckpt_30.json").read_bytes()
+    artifacts = json.loads((out / "run_manifest.json").read_text())["artifacts"]
+    assert {"ckpt_15.json", "ckpt_30.json", "ckpt_final.json"} <= set(artifacts)
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+
 def test_worker_count_rejects_non_integers():
     for raw in ("abc", "2.5", "1e3"):
         with pytest.raises(ConfigError) as err:

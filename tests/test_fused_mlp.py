@@ -21,12 +21,16 @@ from mmflow.autodiff import Tape, Tensor, as_tensor, backward, jvp
 from mmflow.field_model import _BLOCK_ROWS, FieldConfig, VelocityField, init_params
 from mmflow.objectives import (
     TimePairConfig,
+    _loss_target,
+    _residual_loss,
     build_batch,
     loss_full,
     loss_lambda,
     sample_time_pairs,
 )
 from mmflow.sampler_eval import few_step_sample, one_step_sample
+
+from helpers import op_chain_loss, op_chain_residual_loss
 
 TOL = 1e-12
 
@@ -196,14 +200,54 @@ def test_attached_time_tangent_raises_inside_attached_jvp():
         jvp(field.forward, [x, r, t], [np.zeros((4, 2)), np.zeros(4), dt])
 
 
-@pytest.mark.parametrize("lam, nodes", [(0.0, 6), (0.5, 8), (1.0, 8)])
+@pytest.mark.parametrize("lam, nodes", [(0.0, 2), (0.5, 2), (1.0, 2)])
 def test_tape_nodes_per_loss_lambda(lam, nodes):
     field = init_params(CFG)
     batch = make_batch(np.random.default_rng(8), 16, 2, "absolute_time")
     with Tape() as tape:
         loss_lambda(field, batch, lam, target_norm="pair_span")
     assert len(tape) == nodes
-    assert [node.kind for node in tape.nodes].count("mlp") == 1
+    assert [node.kind for node in tape.nodes] == ["mlp", "residual_loss"]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("target_norm", ["sampled_gap", "pair_span"])
+@pytest.mark.parametrize("convention", ["interval_ratio", "absolute_time"])
+def test_residual_loss_node_matches_the_op_chain_bitwise(lam, target_norm, convention):
+    # value and both adjoints of the fused loss node, at float64, against the
+    # sg_lambda/scale_rows/add/sub/square/sum_all/div chain it replaces; the
+    # batch size and one lambda are not powers of two, so 1/b and lam round
+    # and any reordering of the products shows
+    rng = np.random.default_rng(17)
+    field = with_offsets(init_params(CFG), rng)
+    batch = make_batch(rng, 13, 2, convention)
+    target = _loss_target(batch, target_norm)
+    u0, bracket0 = jvp(field.forward, [batch.x_t, batch.r, batch.t],
+                       [target, np.zeros_like(batch.r), np.ones_like(batch.t)])
+
+    def adjoints(loss_fn):
+        u = Tensor(u0.data, requires_grad=True)
+        bracket = Tensor(bracket0.data, requires_grad=True)
+        with Tape():
+            loss = loss_fn(u, bracket, batch.t - batch.r, target, lam)
+        grads = backward(loss)
+        return loss.data, grads.wrt(u), grads.wrt(bracket)
+
+    fused, chain = adjoints(_residual_loss), adjoints(op_chain_residual_loss)
+    for a, b in zip(fused, chain):
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+    assert np.any(fused[2]) == (lam > 0.0)
+
+    # and through the field: the loss value and every parameter gradient
+    def through_field(loss_fn):
+        with Tape():
+            loss = loss_fn(field, batch, lam, target_norm=target_norm)
+        grads = backward(loss)
+        return [loss.data] + [grads.wrt(p) for p in field.params]
+
+    for a, b in zip(through_field(loss_lambda), through_field(op_chain_loss)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_lambda_zero_drops_the_tangent_adjoint():

@@ -17,12 +17,15 @@ from mmflow.trainer import (
     OptimizerState,
     TrainConfig,
     TrainLog,
+    _task_batch_fn,
     adam_step,
     cosine_lr,
     global_grad_norm,
     loss_variance,
     train,
 )
+
+from helpers import reference_train
 
 
 SMALL_FIELD = FieldConfig(
@@ -178,6 +181,37 @@ def test_each_step_calls_the_traced_functions_once_in_order(monkeypatch):
     train(init_params(SMALL_FIELD), cfg)
     step = ["sample_pairs", "loss_lambda", "jvp", "backward", "global_grad_norm", "adam_step"]
     assert calls == step * 3
+
+
+@pytest.mark.parametrize("schedule, grad_clip, interpolation, target_norm", [
+    (WarmupSchedule(20), None, "absolute_time", "pair_span"),
+    (WarmupSchedule(20), 0.5, "absolute_time", "pair_span"),
+    (ConstantSchedule(0.0), None, "absolute_time", "pair_span"),
+    (ConstantSchedule(0.0), 0.5, "absolute_time", "pair_span"),
+    (WarmupSchedule(20), 0.5, "interval_ratio", "sampled_gap"),
+])
+def test_train_matches_the_op_chain_step_byte_for_byte(tmp_path, schedule, grad_clip,
+                                                        interpolation, target_norm):
+    # the fused loss node, the flat parameter vector, in-place Adam and the
+    # one-cast gradient change no bit against the step they replaced
+    task = OdeHarmonicTask(dim=2, endpoint_noise_std=0.01, seed=3)
+    cfg = TrainConfig(total_steps=60, batch_size=30, lr0=3e-3, schedule=schedule, seed=5,
+                      task=task, log_every=1, grad_clip=grad_clip,
+                      interpolation=interpolation, target_norm=target_norm)
+    field = init_params(FieldConfig(input_dim=2, hidden_widths=(32, 32, 32), time_embed_dim=8,
+                                    base_frequency=20.0, seed=2))
+    res = train(field, cfg, out_dir=tmp_path)
+    ref_field, ref_log = reference_train(field, cfg, _task_batch_fn(task, interpolation))
+    ref_log.write_csv(tmp_path / "reference.csv")
+    assert not res.halted
+    assert res.log.lambdas[0] == schedule.at(0) and res.log.lambdas[-1] == schedule.at(59)
+    if grad_clip is not None:
+        assert max(res.log.grad_norms) > grad_clip  # the clip is exercised
+    res.log.write_csv(tmp_path / "trainlog.csv")
+    assert (tmp_path / "trainlog.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    for a, b in zip(res.field.params, ref_field.params):
+        assert a.data.dtype == b.data.dtype == np.float64
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_train_zero_steps_returns_field_unchanged():
