@@ -340,20 +340,6 @@ def _emit_multi(tape: Tape, kind: str, outs: tuple, in_gids: tuple, backward_fn)
     tape.nodes.append(_Node(kind, in_gids, tuple(o._gid for o in outs), backward_fn))
 
 
-def _leaf_views(flat: np.ndarray, like) -> list:
-    """Read-only views of the flat vector ``flat`` shaped as the tensors
-    ``like``, in order; each is a leaf that requires grad."""
-    views, offset = [], 0
-    for t in like:
-        view = flat[offset:offset + t.size].reshape(t.shape)
-        view.flags.writeable = False
-        leaf = Tensor._wrap(view)
-        leaf.requires_grad = True
-        views.append(leaf)
-        offset += t.size
-    return views
-
-
 # ---------------------------------------------------------------------------
 # dual-number plumbing
 

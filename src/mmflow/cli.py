@@ -44,6 +44,7 @@ from .meanflow_math import (
     limit_slope,
 )
 from .objectives import (
+    MIN_GAP_CEILING,
     MIN_GAP_FLOOR,
     ConstantSchedule,
     TimePairConfig,
@@ -162,7 +163,8 @@ _SCHEMA = {
         "warmup": (_defaults(WarmupSchedule), {"t_warmup": (int, _POSITIVE)}),
     },
     "time_pairs": (_defaults(TimePairConfig), {
-        "min_gap": (float, (f"must be >= {MIN_GAP_FLOOR}", lambda g: g >= MIN_GAP_FLOOR)),
+        "min_gap": (float, (f"must lie in [{MIN_GAP_FLOOR}, {MIN_GAP_CEILING}]",
+                            lambda g: MIN_GAP_FLOOR <= g <= MIN_GAP_CEILING)),
         "r_zero_prob": (float, _UNIT),
     }),
     "eval": ({"n_samples": 1024, "few_step_ns": [1, 2, 4, 8]}, {
@@ -490,7 +492,7 @@ def cmd_sample(config_path, checkpoint, out=None, seed=None, n_samples=None) -> 
     return EXIT_OK
 
 
-def cmd_diagnose(config_path=None, _bracket_sign: float = 1.0) -> int:
+def cmd_diagnose(config_path=None) -> int:
     """Run the oracle residual suite against its tolerances."""
     if config_path is not None:
         diag = load_config(config_path)["diagnose"]
@@ -517,11 +519,10 @@ def cmd_diagnose(config_path=None, _bracket_sign: float = 1.0) -> int:
 
     x = rng.standard_normal((n, 2))
     r, t = sample_rt(n)
-    res = identity_residual(oracle, harmonic, x, r, t, bracket_sign=_bracket_sign)
+    res = identity_residual(oracle, harmonic, x, r, t)
     checks.append(("identity_harmonic", float(np.max(np.abs(res))), diag["identity_tol"]))
 
-    res = identity_residual(average_velocity_field(constant), constant, x, r, t,
-                            bracket_sign=_bracket_sign)
+    res = identity_residual(average_velocity_field(constant), constant, x, r, t)
     checks.append(("identity_constant", float(np.max(np.abs(res))), diag["identity_tol"]))
 
     x = rng.standard_normal((n, 2))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -113,9 +114,10 @@ class FieldConfig:
 class VelocityField:
     """Parameterized average-velocity model u(x, r, t).
 
-    Parameters are immutable float64 tensors; an update produces a new
-    field via ``with_params``, except on a ``with_flat_params`` copy, whose
-    parameters are views into one vector that ``train`` steps in place.
+    The parameters live in one flat float64 vector, ``flat_params``, laid
+    out in ``params`` order; ``weights`` and ``biases`` are read-only views
+    into it that require grad. ``with_params`` copies values into a new
+    field; ``train`` steps its own copy by writing into ``flat_params``.
     ``compute_dtype`` is the dtype the MLP
     computes in: float64 by default, float32 on the copy that ``train``
     steps (``with_compute_dtype``). Inputs, outputs, tangents and gradients
@@ -123,12 +125,17 @@ class VelocityField:
     parameters and inputs, and may run concurrently on shared parameters.
     """
 
-    def __init__(self, config: FieldConfig, weights, biases):
+    def __init__(self, config: FieldConfig, flat: np.ndarray):
+        shapes = _param_shapes(config)
+        n = sum(math.prod(s) for s in shapes)
+        if flat.dtype != np.float64 or flat.shape != (n,):
+            raise ValueError(f"expected a float64 vector of {n} parameters")
         self.config = config
-        self.weights = list(weights)
-        self.biases = list(biases)
+        self.flat_params = flat
+        params = _leaf_views(flat, shapes)
+        self.weights = params[0::2]
+        self.biases = params[1::2]
         self.compute_dtype = np.float64
-        self.flat_params = None
         self._embedding = TimeEmbedding(config.time_embed_dim, config.base_frequency)
         self._freqs = self._embedding.frequencies()
 
@@ -147,26 +154,19 @@ class VelocityField:
                 for role in ("weight", "bias")]
 
     def with_params(self, params) -> "VelocityField":
-        field = copy.copy(self)  # shares the config and the frequency ladder
-        field.weights = list(params[0::2])
-        field.biases = list(params[1::2])
-        field.flat_params = None
+        """A field over a new flat vector that holds the values of
+        ``params``, tensors shaped and ordered as ``self.params``."""
+        if [p.shape for p in params] != [p.shape for p in self.params]:
+            raise ad.ShapeMismatchError("with_params: shapes differ from the field's params")
+        field = VelocityField(self.config, np.concatenate([p.data.ravel() for p in params]))
+        field.compute_dtype = self.compute_dtype
         return field
 
     def with_compute_dtype(self, dtype) -> "VelocityField":
-        """The same field computing its MLP in ``dtype``."""
+        """The same field, over the same flat vector, computing its MLP in
+        ``dtype``."""
         field = copy.copy(self)
         field.compute_dtype = dtype
-        return field
-
-    def with_flat_params(self) -> "VelocityField":
-        """A copy whose parameters are read-only views into one new flat
-        float64 vector, ``flat_params``, laid out in ``params`` order.
-        Writing into ``flat_params`` updates them in place, which is how
-        ``train`` steps them."""
-        flat = np.concatenate([p.data.ravel() for p in self.params])
-        field = self.with_params(ad._leaf_views(flat, self.params))
-        field.flat_params = flat
         return field
 
     def forward(self, x, r, t):
@@ -431,20 +431,40 @@ def _attached(tape, v) -> bool:
     return v is not None and (v.requires_grad or (v._tape is tape and v._gid is not None))
 
 
+def _param_shapes(config: FieldConfig) -> list:
+    """The shapes of ``params``: weight then bias, per layer."""
+    sizes = config.layer_sizes
+    return [s for n_in, n_out in zip(sizes, sizes[1:]) for s in ((n_in, n_out), (n_out,))]
+
+
+def _leaf_views(flat: np.ndarray, shapes) -> list:
+    """Read-only views of the flat vector ``flat`` with ``shapes``, in
+    order; each is a leaf that requires grad."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        view = flat[offset:offset + size].reshape(shape)
+        view.flags.writeable = False
+        leaf = Tensor._wrap(view)
+        leaf.requires_grad = True
+        views.append(leaf)
+        offset += size
+    return views
+
+
 def init_params(config: FieldConfig) -> VelocityField:
     """Uniform init scaled by 1/sqrt(fan_in); biases zero; seed-determined."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     sizes = config.layer_sizes
-    weights, biases = [], []
+    parts = []
     for i in range(len(sizes) - 1):
         fan_in, fan_out = sizes[i], sizes[i + 1]
         bound = np.sqrt(6.0 / fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        w = rng.uniform(-bound, bound, size=fan_in * fan_out)
         if config.zero_init_output and i == len(sizes) - 2:
-            w = np.zeros((fan_in, fan_out))
-        weights.append(Tensor(w, requires_grad=True))
-        biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
-    return VelocityField(config, weights, biases)
+            w[:] = 0.0
+        parts += [w, np.zeros(fan_out)]
+    return VelocityField(config, np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -503,18 +523,18 @@ def _load_section(name, build, *args):
         raise ValueError(f"checkpoint {name}: malformed ({detail})") from None
 
 
-def _param_arrays(stored, config: FieldConfig) -> list:
-    """The stored parameter arrays, checked against ``config.layer_sizes``."""
-    sizes = config.layer_sizes
-    shapes = [s for n_in, n_out in zip(sizes, sizes[1:]) for s in ((n_in, n_out), (n_out,))]
+def _param_vector(stored, config: FieldConfig) -> np.ndarray:
+    """The stored parameters as one flat vector, checked against the
+    model's shapes."""
+    shapes = _param_shapes(config)
     if not isinstance(stored, list) or len(stored) != len(shapes):
         raise ValueError(f"expected a list of {len(shapes)} parameter tensors")
-    arrays = []
+    parts = []
     for shape, item in zip(shapes, stored):
         if tuple(item["shape"]) != shape:
             raise ValueError(f"shape {item['shape']} does not match model shape {shape}")
-        arrays.append(np.array(item["data"], dtype=np.float64).reshape(shape))
-    return arrays
+        parts.append(np.array(item["data"], dtype=np.float64).reshape(shape).ravel())
+    return np.concatenate(parts)
 
 
 def load_checkpoint(path):
@@ -529,9 +549,8 @@ def load_checkpoint(path):
     kind = doc.get("kind", "mlp")
     if kind == "mlp":
         config = _load_section("config", FieldConfig.from_dict, doc.get("config"))
-        arrays = _load_section("params", _param_arrays, doc.get("params"), config)
-        params = [Tensor(a, requires_grad=True) for a in arrays]
-        return VelocityField(config, params[0::2], params[1::2])
+        return VelocityField(
+            config, _load_section("params", _param_vector, doc.get("params"), config))
     if kind == "analytic_oracle":
         from . import meanflow_math as mm
 

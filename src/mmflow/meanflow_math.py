@@ -194,20 +194,6 @@ class ReferencePath:
         cols = [np.interp(t, self.times, self.states[:, j]) for j in range(self.dim)]
         return np.stack(cols, axis=-1)
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            header = ",".join(["t"] + [f"x{j}" for j in range(self.dim)])
-            fh.write(header + "\n")
-            for ti, row in zip(self.times, self.states):
-                cells = [f"{ti:.17g}"] + [f"{v:.17g}" for v in row]
-                fh.write(",".join(cells) + "\n")
-
-    @classmethod
-    def read_csv(cls, path) -> "ReferencePath":
-        raw = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64)
-        raw = np.atleast_2d(raw)
-        return cls(times=raw[:, 0], states=raw[:, 1:])
-
 
 def _rk4_step(v_fn, x, ti, h):
     k1 = v_fn(x, ti)
@@ -308,14 +294,11 @@ def average_velocity_field(flow: AnalyticFlow) -> OracleField:
 # residual calculators
 
 
-def identity_residual(u_eval, flow: AnalyticFlow, x_t, r, t,
-                      bracket_sign: float = 1.0) -> np.ndarray:
+def identity_residual(u_eval, flow: AnalyticFlow, x_t, r, t) -> np.ndarray:
     """Residual of v = u + (t-r) du/dt at (x_t, r, t), batched.
 
     The total derivative du/dt = d_t u + (grad_x u) v is obtained from a
     single forward-mode call with tangent (v, 0, 1) over (x, r, t).
-    ``bracket_sign`` is a diagnostics hook that flips the derivative term,
-    used to prove the check actually bites.
     """
     x, r_arr, t_arr = _promote(x_t, r, t)
     if np.any(t_arr <= r_arr):
@@ -327,7 +310,7 @@ def identity_residual(u_eval, flow: AnalyticFlow, x_t, r, t,
         [v, np.zeros_like(r_arr), np.ones_like(t_arr)],
     )
     gap = (t_arr - r_arr)[:, None]
-    return v - (u.data + gap * (float(bracket_sign) * du.data))
+    return v - (u.data + gap * du.data)
 
 
 def consistency_residual(u_eval, x_t, r, s, t) -> np.ndarray:

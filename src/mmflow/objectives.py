@@ -25,6 +25,7 @@ from .autodiff import Tensor, as_tensor, forward_fn, jvp
 
 __all__ = [
     "MIN_GAP_FLOOR",
+    "MIN_GAP_CEILING",
     "TimePairConfig",
     "TrainingBatch",
     "ConstantSchedule",
@@ -41,6 +42,9 @@ __all__ = [
 # both denominators (t - r in the target, 1 - r in the interpolation weight)
 # are guarded by this floor; below it single rows dominate the batch loss
 MIN_GAP_FLOOR = 1e-3
+# a free row is kept with probability (1 - min_gap)^2, so at this ceiling
+# ``sample_time_pairs`` draws each row at most 4 times in expectation
+MIN_GAP_CEILING = 0.5
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,9 @@ class TimePairConfig:
     r_zero_prob: float = 0.25
 
     def __post_init__(self):
-        if self.min_gap < MIN_GAP_FLOOR:
-            raise ValueError(f"min_gap must be >= {MIN_GAP_FLOOR}, got {self.min_gap}")
+        if not MIN_GAP_FLOOR <= self.min_gap <= MIN_GAP_CEILING:
+            raise ValueError(f"min_gap must lie in [{MIN_GAP_FLOOR}, {MIN_GAP_CEILING}], "
+                             f"got {self.min_gap}")
         if not 0.0 <= self.r_zero_prob <= 1.0:
             raise ValueError("r_zero_prob must lie in [0, 1]")
 

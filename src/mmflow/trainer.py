@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .autodiff import Tape, _leaf_views, backward
+from .autodiff import Tape, backward
 from .field_model import save_checkpoint, write_atomic
 from .objectives import (
     TimePairConfig,
@@ -42,15 +42,20 @@ __all__ = [
 ]
 
 
+# Adam's moment decay rates and the epsilon added to the root of the second moment
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class NonFiniteGradientError(RuntimeError):
     """A gradient contained NaN or infinity; the step was aborted.
 
-    ``index`` is the position of the first offending parameter in the
-    list ``adam_step`` was given, or of the first offending entry when it
-    was given one flat vector."""
+    ``index`` is the position of the first offending entry of the flat
+    gradient vector."""
 
-    def __init__(self, index: int, what: str = "parameter"):
-        super().__init__(f"non-finite gradient in {what} {index}")
+    def __init__(self, index: int):
+        super().__init__(f"non-finite gradient in entry {index}")
         self.index = index
 
 
@@ -88,26 +93,21 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam moments as flat float64 vectors over the concatenated
-    parameters, and the step count. ``adam_step`` updates the moments in
-    place and reuses ``work`` for its temporaries: a fresh temporary of
-    this size is fresh memory from the allocator, and its page faults cost
-    more than the arithmetic."""
+    """Adam moments as float64 vectors laid out as the flat parameter
+    vector, and the step count. ``adam_step`` updates the moments in place
+    and reuses ``work`` for its temporaries: a fresh temporary of this size
+    is fresh memory from the allocator, and its page faults cost more than
+    the arithmetic."""
 
     m: np.ndarray
     v2: np.ndarray
     step: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     work: Optional[np.ndarray] = dc_field(default=None, repr=False, compare=False)
 
     @classmethod
-    def init(cls, params, beta1=0.9, beta2=0.999, eps=1e-8) -> "OptimizerState":
-        """Zero moments for ``params``: a list of tensors or one flat vector."""
-        n = params.size if isinstance(params, np.ndarray) else sum(p.size for p in params)
-        return cls(m=np.zeros(n), v2=np.zeros(n), step=0,
-                   beta1=beta1, beta2=beta2, eps=eps)
+    def init(cls, flat: np.ndarray) -> "OptimizerState":
+        """Zero moments for the flat parameter vector ``flat``."""
+        return cls(m=np.zeros(flat.size), v2=np.zeros(flat.size), step=0)
 
 
 def cosine_lr(lr0: float, step: int, total_steps: int) -> float:
@@ -117,71 +117,47 @@ def cosine_lr(lr0: float, step: int, total_steps: int) -> float:
     return lr0 * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
 
 
-def _flat(arrays) -> np.ndarray:
-    """One flat vector from per-parameter arrays; a flat vector passes through."""
-    if isinstance(arrays, np.ndarray):
-        return arrays
-    return np.concatenate([np.ravel(a) for a in arrays])
-
-
-def adam_step(state: OptimizerState, params, grads, lr: float):
-    """One bias-corrected Adam update; returns ``(state, params)``.
-
-    ``params`` is either one flat float64 vector, which is updated in place
-    and returned (``train`` passes its ``flat_params``), or a list of
-    tensors, which are left as they were: their new values go into one new
-    flat vector and come back as its read-only views. ``grads`` is one array
-    per parameter or their concatenation. The moments in ``state`` are
-    updated in place. The bias correction is folded into the step size
-    (lr * sqrt(1 - b2^t) / (1 - b1^t)) with eps added to the uncorrected
-    root. Non-finite gradients abort the step before anything is written:
-    the exception carries the event and both state and parameters stay
-    untouched.
+def adam_step(state: OptimizerState, flat: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """One bias-corrected Adam update of the flat float64 parameter vector
+    ``flat``, in place, from the gradient vector ``grad`` laid out alike
+    (``train`` passes its field's ``flat_params``). The moments in
+    ``state`` are updated in place too. The bias correction is folded into
+    the step size (lr * sqrt(1 - b2^t) / (1 - b1^t)) with ``EPS`` added to
+    the uncorrected root. A non-finite gradient entry aborts the step
+    before anything is written: ``NonFiniteGradientError`` names the
+    first such entry, and both state and parameters stay untouched.
     """
-    if not isinstance(params, np.ndarray):
-        flat = _flat([p.data for p in params])
-        try:
-            adam_step(state, flat, grads, lr)
-        except NonFiniteGradientError as err:
-            ends = np.cumsum([p.size for p in params])
-            raise NonFiniteGradientError(
-                int(np.searchsorted(ends, err.index, side="right"))) from None
-        return state, _leaf_views(flat, params)
-    g = _flat(grads)
-    finite = np.isfinite(g)
+    finite = np.isfinite(grad)
     if not finite.all():
-        raise NonFiniteGradientError(int(np.argmin(finite)), "entry")
+        raise NonFiniteGradientError(int(np.argmin(finite)))
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
-    step_size = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+    step_size = lr * np.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t)
     m, v2 = state.m, state.v2
     if state.work is None:
         state.work = np.empty((2, m.size))
     # in place, with the rounding of m = b1*m + (1-b1)*g,
     # v2 = b2*v2 + (1-b2)*g*g and p - step_size*m / (sqrt(v2) + eps)
     work, denom = state.work
-    np.multiply(g, 1.0 - b1, out=work)
-    m *= b1
+    np.multiply(grad, 1.0 - BETA1, out=work)
+    m *= BETA1
     m += work
-    np.multiply(g, 1.0 - b2, out=work)
-    work *= g
-    v2 *= b2
+    np.multiply(grad, 1.0 - BETA2, out=work)
+    work *= grad
+    v2 *= BETA2
     v2 += work
     np.sqrt(v2, out=denom)
-    denom += state.eps
+    denom += EPS
     np.multiply(m, step_size, out=work)
     work /= denom
-    params -= work
+    flat -= work
     state.step = t
-    return state, params
 
 
-def global_grad_norm(grads) -> float:
-    """2-norm over the concatenation of all gradient tensors (or of one
-    flat gradient vector), summed by ``einsum``: OpenBLAS splits a long
-    dot across its threads, so ``g @ g`` rounds by the BLAS thread count."""
-    g = _flat(grads)
-    return float(np.sqrt(np.einsum("i,i->", g, g)))
+def global_grad_norm(grad: np.ndarray) -> float:
+    """2-norm of the flat gradient vector ``grad``, summed by ``einsum``:
+    OpenBLAS splits a long dot across its threads, so ``g @ g`` rounds by
+    the BLAS thread count."""
+    return float(np.sqrt(np.einsum("i,i->", grad, grad)))
 
 
 @dataclass
@@ -283,11 +259,11 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
 
     The field stepped here computes its MLP in float32 (mixed precision:
     the parameters, the Adam moments, the gradient vector, the loss and
-    the grad norm stay float64). Its parameters live in one flat vector
-    (``with_flat_params``) that ``adam_step`` updates in place. When the
-    last periodic checkpoint falls on the final step, the final one is a
-    byte copy of it. The returned field computes in float64 again, like
-    one loaded from the final checkpoint.
+    the grad norm stay float64). It is a copy (``with_params``), so the
+    caller's field is never written; ``adam_step`` updates the copy's
+    ``flat_params`` in place. When the last periodic checkpoint falls on
+    the final step, the final one is a byte copy of it. The returned field
+    computes in float64 again, like one loaded from the final checkpoint.
     """
     if batch_fn is None:
         if config.task is None:
@@ -299,7 +275,7 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
     time_rng = np.random.default_rng(time_ss)
     data_rng = np.random.default_rng(data_ss)
 
-    field = field.with_compute_dtype(np.float32).with_flat_params()
+    field = field.with_params(field.params).with_compute_dtype(np.float32)
     params, flat = field.params, field.flat_params
     ends = np.cumsum([p.size for p in params])  # flat entry -> parameter index
     state = OptimizerState.init(flat)

@@ -84,10 +84,10 @@ def copying_adam_step(state, params, grads, lr):
     """Adam over a list of tensors that copies the parameters into a new
     flat vector each step and returns read-only views of it."""
     from mmflow.autodiff import Tensor
+    from mmflow.trainer import BETA1 as b1, BETA2 as b2, EPS as eps
 
     g = np.concatenate([np.ravel(a) for a in grads]) if isinstance(grads, list) else grads
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
     step_size = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
     m, v2 = state.m, state.v2
     m *= b1
@@ -95,7 +95,7 @@ def copying_adam_step(state, params, grads, lr):
     v2 *= b2
     v2 += g * (1.0 - b2) * g
     flat = np.concatenate([p.data.ravel() for p in params])
-    flat -= m * step_size / (np.sqrt(v2) + state.eps)
+    flat -= m * step_size / (np.sqrt(v2) + eps)
     flat.flags.writeable = False
     state.step = t
     new_params, offset = [], 0
@@ -126,7 +126,7 @@ def reference_train(field, config, batch_fn):
     data_rng = np.random.default_rng(data_ss)
     field = field.with_compute_dtype(np.float32)
     params = field.params
-    state = OptimizerState.init(params)
+    state = OptimizerState.init(field.flat_params)
     log = TrainLog()
     for step in range(config.total_steps):
         batch = batch_fn(data_rng, time_rng, config.batch_size, config.time_pairs)
@@ -141,6 +141,7 @@ def reference_train(field, config, batch_fn):
             grad *= config.grad_clip / grad_norm
         state, params = copying_adam_step(state, params, grad, lr)
         field = field.with_params(params)
+        params = field.params  # a copy: gradients are taken on its own tensors
         if _should_log(step, config.total_steps, config.log_every):
             log.append(step, float(loss.data), grad_norm, lam, lr)
     return field.with_compute_dtype(np.float64), log

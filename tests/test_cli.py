@@ -315,8 +315,15 @@ def test_cmd_diagnose_stock_build_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_cmd_diagnose_sign_error_detected(capsys):
-    assert cmd_diagnose(_bracket_sign=-1.0) == 1
+def test_cmd_diagnose_sign_error_detected(capsys, monkeypatch):
+    from mmflow import autodiff as ad
+    from mmflow.meanflow_math import HarmonicFlow, _expm1_ratio
+
+    def wrong_sign(self, x, r, t):  # +x expm1(g)/g where the flow has -x expm1(g)/g
+        return ad.scale_rows(x, _expm1_ratio(ad.sub(t, r)))
+
+    monkeypatch.setattr(HarmonicFlow, "average_velocity_op", wrong_sign)
+    assert cmd_diagnose() == 1
     captured = capsys.readouterr()
     assert "identity_harmonic" in captured.err
 

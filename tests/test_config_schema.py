@@ -135,6 +135,7 @@ INVALID = [
     # time_pairs
     (_key("time_pairs", "min_gap", "small"), "time_pairs.min_gap"),
     (_key("time_pairs", "min_gap", 1e-4), "time_pairs.min_gap"),
+    (_key("time_pairs", "min_gap", 1.0), "time_pairs.min_gap"),
     (_key("time_pairs", "r_zero_prob", 1.5), "time_pairs.r_zero_prob"),
     (_key("time_pairs", "r_zero_prob", -0.5), "time_pairs.r_zero_prob"),
     (_key("time_pairs", "max_gap", 0.5), "time_pairs.max_gap"),

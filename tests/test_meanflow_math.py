@@ -132,20 +132,6 @@ def test_reference_path_interpolation_and_span_check():
         path.state_at(1.5)
 
 
-def test_reference_path_csv_roundtrip_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    path = ReferencePath(
-        times=np.sort(rng.uniform(0, 1, 9)), states=rng.normal(size=(9, 3))
-    )
-    f = tmp_path / "path.csv"
-    path.write_csv(f)
-    header = f.read_text().splitlines()[0]
-    assert header == "t,x0,x1,x2"
-    back = ReferencePath.read_csv(f)
-    assert np.array_equal(back.times, path.times)
-    assert np.array_equal(back.states, path.states)
-
-
 # ---------------------------------------------------------------------------
 # average velocity oracle
 
@@ -267,17 +253,6 @@ def test_identity_residual_zero_field_equals_velocity():
     x = np.array([[0.4, -0.9]])
     res = identity_residual(zero_field, flow, x, 0.2, 0.8)
     assert np.allclose(res, flow.velocity(x, 0.8), atol=1e-15)
-
-
-def test_identity_residual_sign_hook_breaks_it():
-    rng = np.random.default_rng(13)
-    flow = HarmonicFlow(1)
-    x = rng.normal(size=(20, 1))
-    r, t = sample_rt(rng, 20)
-    good = identity_residual(average_velocity_field(flow), flow, x, r, t)
-    bad = identity_residual(average_velocity_field(flow), flow, x, r, t, bracket_sign=-1.0)
-    assert np.max(np.abs(good)) < 1e-5
-    assert np.max(np.abs(bad)) > 1e-2
 
 
 def test_identity_residual_rejects_bad_interval():

@@ -77,6 +77,15 @@ def test_time_pair_config_validation():
         TimePairConfig(r_zero_prob=1.2)
 
 
+def test_time_pair_config_rejects_a_min_gap_no_draw_can_meet():
+    # rows are redrawn until t - r >= min_gap: at 1.0 no draw from [0, 1)
+    # meets it, and sampling would never end
+    with pytest.raises(ValueError, match="min_gap"):
+        TimePairConfig(min_gap=1.0)
+    r, t = sample_time_pairs(np.random.default_rng(0), 64, TimePairConfig(min_gap=0.5))
+    assert np.all(t - r >= 0.5)
+
+
 # ---------------------------------------------------------------------------
 # interpolation and target
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmflow.autodiff import Tape, Tensor, backward
+from mmflow.autodiff import Tape, backward
 from mmflow.field_model import FieldConfig, init_params
 from mmflow.objectives import (
     ConstantSchedule,
@@ -63,89 +63,123 @@ def test_cosine_lr_rejects_out_of_range_step():
 # Adam
 
 
-def params_of(*arrays):
-    return [Tensor(a, requires_grad=True) for a in arrays]
-
-
 def test_adam_single_scalar_update_hand_value():
-    params = params_of(np.array(1.0))
-    state = OptimizerState.init(params)
-    grads = [np.array(1.0)]
-    state, params = adam_step(state, params, grads, lr=0.1)
+    flat = np.array([1.0])
+    state = OptimizerState.init(flat)
+    m, v2 = state.m, state.v2
+    assert adam_step(state, flat, np.array([1.0]), lr=0.1) is None
     # one bias-corrected step: lr*sqrt(1-b2)/(1-b1) * m/(sqrt(v2)+eps)
     expected = 1.0 - 0.1 * np.sqrt(1 - 0.999) / (1 - 0.9) * 0.1 / (np.sqrt(0.001) + 1e-8)
-    assert float(params[0].data) == pytest.approx(expected, rel=1e-14)
-    assert float(params[0].data) == pytest.approx(0.9000000316, abs=1e-9)
+    assert flat[0] == pytest.approx(expected, rel=1e-14)
+    assert flat[0] == pytest.approx(0.9000000316, abs=1e-9)
     assert state.step == 1
+    assert state.m is m and state.v2 is v2  # updated in place
 
 
 def test_adam_zero_gradient_keeps_parameters():
-    params = params_of(np.array([1.0, -2.0]))
-    state = OptimizerState.init(params)
-    state, params = adam_step(state, params, [np.zeros(2)], lr=0.1)
-    assert np.array_equal(params[0].data, [1.0, -2.0])
-    assert np.all(state.m[0] == 0.0) and np.all(state.v2[0] == 0.0)
+    flat = np.array([1.0, -2.0])
+    state = OptimizerState.init(flat)
+    adam_step(state, flat, np.zeros(2), lr=0.1)
+    assert np.array_equal(flat, [1.0, -2.0])
+    assert np.all(state.m == 0.0) and np.all(state.v2 == 0.0)
 
 
 def test_adam_deterministic():
     def run():
-        params = params_of(np.array([0.3, 0.7]))
-        state = OptimizerState.init(params)
-        state, params = adam_step(state, params, [np.array([0.1, -0.2])], lr=0.05)
-        state, params = adam_step(state, params, [np.array([0.4, 0.1])], lr=0.05)
-        return params[0].data
+        flat = np.array([0.3, 0.7])
+        state = OptimizerState.init(flat)
+        adam_step(state, flat, np.array([0.1, -0.2]), lr=0.05)
+        adam_step(state, flat, np.array([0.4, 0.1]), lr=0.05)
+        return flat
 
     assert np.array_equal(run(), run())
 
 
 def test_adam_aborts_on_non_finite_gradient():
-    params = params_of(np.array([1.0]))
-    state = OptimizerState.init(params)
+    flat = np.array([1.0])
+    state = OptimizerState.init(flat)
     with pytest.raises(NonFiniteGradientError):
-        adam_step(state, params, [np.array([np.nan])], lr=0.1)
-    assert np.array_equal(params[0].data, [1.0])
+        adam_step(state, flat, np.array([np.nan]), lr=0.1)
+    assert np.array_equal(flat, [1.0])
     assert state.step == 0
 
 
-def test_adam_state_is_flat_and_parameters_are_views_of_one_vector():
-    params = params_of(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, -0.5]))
-    state = OptimizerState.init(params)
-    m, v2 = state.m, state.v2
-    assert m.shape == v2.shape == (6,)
-    state, new = adam_step(state, params, [np.ones((2, 2)), np.array([0.5, -1.0])], lr=0.1)
-    assert state.m is m and state.v2 is v2  # updated in place
-    base = new[0].data.base
-    assert base is not None and base.shape == (6,)
-    assert all(p.data.base is base for p in new)
-    assert [p.shape for p in new] == [(2, 2), (2,)]
-    assert all(p.requires_grad and not p.data.flags.writeable for p in new)
-    assert np.array_equal(np.concatenate([p.data.ravel() for p in new]), base)
-
-
-def test_adam_flat_gradient_equals_per_parameter_gradients():
-    def run(as_flat):
-        params = params_of(np.array([0.3, 0.7]), np.array([[1.0], [-1.0]]))
-        state = OptimizerState.init(params)
-        for g in ([np.array([0.1, -0.2]), np.array([[0.4], [0.1]])],
-                  [np.array([-0.3, 0.2]), np.array([[0.0], [2.0]])]):
-            g = np.concatenate([a.ravel() for a in g]) if as_flat else g
-            state, params = adam_step(state, params, g, lr=0.05)
-        return [p.data for p in params], state
-
-    (a, sa), (b, sb) = run(False), run(True)
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    assert np.array_equal(sa.m, sb.m) and np.array_equal(sa.v2, sb.v2)
-
-
 def test_adam_non_finite_gradient_leaves_moments_untouched():
-    params = params_of(np.array([1.0, 2.0]), np.array([3.0]))
-    state = OptimizerState.init(params)
-    state, params = adam_step(state, params, [np.array([0.1, 0.2]), np.array([0.3])], lr=0.1)
-    m, v2 = state.m.copy(), state.v2.copy()
-    with pytest.raises(NonFiniteGradientError, match="parameter 1"):
-        adam_step(state, params, [np.array([0.1, 0.2]), np.array([np.inf])], lr=0.1)
+    flat = np.array([1.0, 2.0, 3.0])
+    state = OptimizerState.init(flat)
+    adam_step(state, flat, np.array([0.1, 0.2, 0.3]), lr=0.1)
+    before, m, v2 = flat.copy(), state.m.copy(), state.v2.copy()
+    with pytest.raises(NonFiniteGradientError, match="entry 2") as err:
+        adam_step(state, flat, np.array([0.1, 0.2, np.inf]), lr=0.1)
+    assert err.value.index == 2
+    assert np.array_equal(flat, before)
     assert np.array_equal(state.m, m) and np.array_equal(state.v2, v2)
     assert state.step == 1
+
+
+# ---------------------------------------------------------------------------
+# one parameter layout
+
+# sha256 of save_checkpoint(init_params(...)) for the configs/decay.json field
+DECAY_INIT_SHA256 = "5e9e13af12d3e9f3409ab6d988717eae48f78385ca8b6dd9c5d47da239a5fdfa"
+
+
+def decay_field():
+    import json
+    import os
+
+    from mmflow.cli import _build, canonicalize
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "decay.json")) as fh:
+        return _build(canonicalize(json.load(fh)))[1]
+
+
+@pytest.mark.parametrize("make", ["init_params", "load_checkpoint", "with_params",
+                                  "with_compute_dtype", "train"])
+def test_every_field_views_its_own_flat_parameter_vector(tmp_path, make):
+    import hashlib
+
+    from mmflow.field_model import load_checkpoint, save_checkpoint
+
+    source = decay_field()
+    before = source.flat_params.copy()
+    if make == "init_params":
+        field = source
+    elif make == "load_checkpoint":
+        save_checkpoint(source, tmp_path / "init.json")
+        text = (tmp_path / "init.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == DECAY_INIT_SHA256
+        field = load_checkpoint(tmp_path / "init.json")
+        save_checkpoint(field, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == text
+    elif make == "with_params":
+        field = source.with_params(source.params)
+    elif make == "with_compute_dtype":
+        field = source.with_compute_dtype(np.float32)
+    else:
+        cfg = TrainConfig(total_steps=3, batch_size=8, lr0=1e-3, schedule=WarmupSchedule(2),
+                          seed=0, log_every=1)
+        field = train(source, cfg, batch_fn=drift_batch_fn).field
+
+    flat = field.flat_params
+    assert flat.dtype == np.float64 and flat.ndim == 1
+    offset = 0
+    for p in field.params:  # read-only leaves over consecutive slices, in order
+        assert p.requires_grad and not p.data.flags.writeable
+        assert p.data.base is flat
+        assert p.data.ctypes.data == flat.ctypes.data + flat.itemsize * offset
+        offset += p.size
+    assert offset == flat.size
+    if make == "with_compute_dtype":
+        assert flat is source.flat_params
+    elif make != "init_params":
+        assert not np.shares_memory(flat, source.flat_params)  # never aliases its input
+    if make == "train":
+        assert not np.array_equal(flat, before)
+    else:
+        assert np.array_equal(flat, before)
+    assert np.array_equal(source.flat_params, before)  # the caller's field is unwritten
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +318,9 @@ def test_logged_grad_norm_matches_independent_accumulation():
     with Tape():
         loss = loss_lambda(field, batch, 0.5)
     grads = backward(loss)
-    glist = [grads.wrt(p) for p in field.params]
-    direct = np.linalg.norm(np.concatenate([g.ravel() for g in glist]))
-    assert abs(global_grad_norm(glist) - direct) < 1e-12
+    direct = np.sqrt(sum(float(np.sum(grads.wrt(p) ** 2)) for p in field.params))
+    flat = grads.wrt_flat(field.params, out=np.empty(field.flat_params.size))
+    assert abs(global_grad_norm(flat) - direct) < 1e-12
 
 
 def test_global_grad_norm_does_not_depend_on_blas_threads():
