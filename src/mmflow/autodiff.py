@@ -107,41 +107,15 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         tag = ", grad" if self._gid is not None else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
-    # arithmetic sugar; all dispatch through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
+    # scaling sugar for plain-callable fields such as ``lambda x, r, t: 0.0 * x``
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class DualTensor:
@@ -158,40 +132,8 @@ class DualTensor:
         self.primal = primal
         self.tangent = tangent
 
-    @property
-    def shape(self):
-        return self.primal.shape
-
     def __repr__(self):
         return f"DualTensor(shape={self.primal.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:

@@ -33,6 +33,7 @@ from .field_model import (
     init_params,
     load_checkpoint,
     write_atomic,
+    write_csv,
 )
 from .meanflow_math import (
     ConstantFlow,
@@ -272,6 +273,8 @@ def load_config(path) -> dict:
         raise ConfigError("<config>", f"no such file: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError("<config>", f"invalid JSON: {err}")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError("<config>", f"cannot read {path}: {err}")
     return canonicalize(doc)
 
 
@@ -352,9 +355,18 @@ def _override_seed(config: dict, seed):
 
 
 def _resolve_out(config: dict, out) -> str:
+    """The output directory: ``--out``, else the config's ``output_dir``.
+    It is rejected before any work when it is, or lies under, an existing
+    path that is not a directory."""
+    name = "--out" if out else "output_dir"
     out = out or config.get("output_dir")
     if not out:
         raise ConfigError("output_dir", "no output directory given (config or --out)")
+    existing = os.path.abspath(out)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(name, f"cannot write into {out}: {existing} is not a directory")
     return out
 
 
@@ -444,11 +456,11 @@ def cmd_train(config_path, out=None, seed=None) -> int:
 
 def cmd_eval(config_path, checkpoint, out=None) -> int:
     config = load_config(config_path)
+    out_dir = _resolve_out(config, out)
     task = task_from_dict(config["task"])
     field = _load_field(checkpoint, task)
     if field is None:
         return EXIT_CONFIG
-    out_dir = _resolve_out(config, out)
     run = _Run(out_dir, config)
     metrics = _evaluate_field(field, task, config["eval"], config["train"]["seed"])
     write_atomic(run.path("metrics.json"), lambda fh: json.dump(metrics, fh, indent=2))
@@ -467,23 +479,20 @@ def cmd_sample(config_path, checkpoint, out=None, seed=None, n_samples=None) -> 
         raise ConfigError("--n-samples", f"must be positive, got {n_samples}")
     config = load_config(config_path)
     _override_seed(config, seed)
+    out_dir = _resolve_out(config, out)
     task = task_from_dict(config["task"])
     field = _load_field(checkpoint, task)
     if field is None:
         return EXIT_CONFIG
-    out_dir = _resolve_out(config, out)
     run = _Run(out_dir, config)
     n = config["eval"]["n_samples"] if n_samples is None else n_samples
     rng = _eval_rng(config["train"]["seed"])
     _, x1 = task.sample_pairs(rng, n)
     samples = one_step_sample(field, x1)
-
-    def write_samples(fh):
-        fh.write(",".join(f"x{j}" for j in range(samples.shape[1])) + "\n")
-        for row in samples:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-    write_atomic(run.path("samples.csv"), write_samples)
+    # one row's list at a time: samples.tolist() at 4096 rows would hold
+    # 0.5 MB of float objects at once and raise the peak RSS by that much
+    write_csv(run.path("samples.csv"), [f"x{j}" for j in range(samples.shape[1])],
+              (row.tolist() for row in samples))
     for k in config["eval"]["few_step_ns"]:
         paths = few_step_sample(field, x1[:1], k)
         paths.path(0).write_csv(run.path(f"sample_path_n{k}.csv"))
@@ -678,18 +687,10 @@ def cmd_ablation(config_path, out=None, seed=None) -> int:
     rows = run_ablation(config, run.out_dir)
     for row in rows:
         run.artifacts += row.pop("artifacts")
-
-    def write_csv(fh):
-        fh.write("variant,final_loss,loss_variance,one_step_mse,d_path,energy_distance\n")
-        for row in rows:
-            d_path = "" if row["d_path"] is None else f"{row['d_path']:.17g}"
-            fh.write(
-                f"{row['variant']},{row['final_loss']:.17g},{row['loss_variance']:.17g},"
-                f"{row['one_step_mse']:.17g},{d_path},{row['energy_distance']:.17g}\n"
-            )
-
+    columns = ("variant", "final_loss", "loss_variance", "one_step_mse", "d_path",
+               "energy_distance")
     csv_path = run.path("ablation.csv")
-    write_atomic(csv_path, write_csv)
+    write_csv(csv_path, columns, ([row[key] for key in columns] for row in rows))
     run.seal()
     halted = [r["variant"] for r in rows if r["halted"]]
     if halted:

@@ -29,6 +29,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "write_atomic",
+    "write_csv",
 ]
 
 CHECKPOINT_FORMAT = "mmflow-checkpoint"
@@ -505,6 +506,27 @@ def write_atomic(path, write):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(value)
+
+
+def write_csv(path, header, rows):
+    """Write ``path`` through ``write_atomic``: a line of ``header`` names,
+    then one line per row of ``rows``. A float cell is written as ``%.17g``
+    (it reads back as the same float), an int or a str as it is, and
+    ``None`` as an empty cell."""
+    def write(fh):
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([_csv_cell(v) for v in row]) + "\n")
+
+    write_atomic(path, write)
 
 
 def save_checkpoint(field: VelocityField, path):

@@ -96,9 +96,6 @@ class ConstantSchedule:
     def at(self, step: int) -> float:
         return self.value
 
-    def to_dict(self):
-        return {"kind": "constant", "value": self.value}
-
 
 @dataclass(frozen=True)
 class WarmupSchedule:
@@ -112,9 +109,6 @@ class WarmupSchedule:
 
     def at(self, step: int) -> float:
         return min(1.0, step / self.t_warmup)
-
-    def to_dict(self):
-        return {"kind": "warmup", "t_warmup": self.t_warmup}
 
 
 def schedule_from_dict(d: dict):

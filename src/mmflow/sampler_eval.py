@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import as_tensor, forward_fn
-from .field_model import write_atomic
+from .field_model import write_csv
 
 __all__ = [
     "SamplePath",
@@ -48,12 +48,8 @@ class SamplePath:
         return self.states.shape[1]
 
     def write_csv(self, path):
-        def write(fh):
-            fh.write(",".join(["t"] + [f"x{j}" for j in range(self.dim)]) + "\n")
-            for ti, row in zip(self.times, self.states):
-                fh.write(",".join([f"{ti:.17g}"] + [f"{v:.17g}" for v in row]) + "\n")
-
-        write_atomic(path, write)
+        write_csv(path, ["t"] + [f"x{j}" for j in range(self.dim)],
+                  ([t, *row] for t, row in zip(self.times.tolist(), self.states.tolist())))
 
 
 @dataclass
@@ -137,35 +133,47 @@ def one_step_mse(field, task, n_samples: int, rng) -> float:
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
-def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> float:
+def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray, chunk: int = 256,
+                            rows: int = 32) -> float:
     """Mean Euclidean distance over all (row of a, row of b) pairs.
 
-    For each block of ``chunk`` rows of ``a`` the squared distances to every
-    row of ``b`` are built one coordinate at a time in two ``[chunk, n_b]``
-    buffers: coordinate 0 squared, then each further coordinate's square
-    added in place, then one in-place sqrt and one sum. The additions run in
-    the order of a sum over the coordinate axis, so the value is the one the
+    The squared distances from each block of ``chunk`` rows of ``a`` to
+    every row of ``b`` are built in a ``[chunk, n_b]`` buffer, ``rows`` rows
+    at a time so that the rows being filled stay in cache: for each
+    coordinate, ``b``'s column is copied into the rows, ``a``'s is
+    subtracted in place and the result squared (``(b-a)²`` is ``(a-b)²``
+    bit for bit) and added to the previous coordinates'. One in-place sqrt
+    follows, and one sum per block. The additions run in the order of a sum
+    over the coordinate axis, so the value is the one the
     ``[chunk, n_b, d]`` difference tensor would give (bitwise for d < 8),
     without the 3-D temporaries.
     """
     n_a, d = a.shape
     n_b = b.shape[0]
-    # one allocation for both buffers: at 2048 columns it is large enough for
-    # malloc to map it and unmap it on free, where two halves can stay
-    # resident in the heap and raise the peak RSS of the caller
-    dist, term = np.empty((2, min(chunk, n_a), n_b))
+    block_rows = min(chunk, n_a)
+    # one allocation for the block, the scratch rows and b's columns as
+    # rows: at 2048 columns it is large enough for malloc to map it and
+    # unmap it on free, where separate buffers can stay resident in the heap
+    # and raise the peak RSS of the caller
+    buf = np.empty((block_rows + min(rows, n_a) + d, n_b))
+    dist, term, b_cols = buf[:block_rows], buf[block_rows:-d], buf[-d:]
+    b_cols[:] = b.T
     total = 0.0
     for i in range(0, n_a, chunk):
         blk = a[i:i + chunk]
-        acc, tmp = dist[:len(blk)], term[:len(blk)]
-        np.subtract.outer(blk[:, 0], b[:, 0], out=acc)
-        np.multiply(acc, acc, out=acc)
-        for j in range(1, d):
-            np.subtract.outer(blk[:, j], b[:, j], out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            acc += tmp
-        np.sqrt(acc, out=acc)
-        total += float(np.sum(acc))
+        for k in range(0, len(blk), rows):
+            part = blk[k:k + rows]
+            acc, tmp = dist[k:k + len(part)], term[:len(part)]
+            acc[:] = b_cols[0]
+            acc -= part[:, :1]
+            acc *= acc
+            for j in range(1, d):
+                tmp[:] = b_cols[j]
+                tmp -= part[:, j:j + 1]
+                tmp *= tmp
+                acc += tmp
+            np.sqrt(acc, out=acc)
+        total += float(np.sum(dist[:len(blk)]))
     return total / (n_a * n_b)
 
 

@@ -37,7 +37,6 @@ class SamplePair:
 class Gmm2dTask:
     """Independent coupling of a standard normal prior with a ring mixture."""
 
-    kind = "gmm2d"
     coupling = "independent"
 
     def __init__(self, components: int = 8, ring_radius: float = 4.0,
@@ -66,15 +65,6 @@ class Gmm2dTask:
     def reference_path(self, pair: SamplePair, grid_len: int) -> ReferencePath:
         raise NoReferencePathError("no reference path defined for the mixture task")
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "components": self.components,
-            "ring_radius": self.ring_radius,
-            "component_std": self.component_std,
-            "seed": self.seed,
-        }
-
 
 class OdeHarmonicTask:
     """Endpoint observations of quadratic-potential gradient-flow paths.
@@ -83,7 +73,6 @@ class OdeHarmonicTask:
     time 1 under exponential decay, observed with optional Gaussian noise.
     """
 
-    kind = "ode_harmonic"
     coupling = "paired"
 
     def __init__(self, dim: int = 2, endpoint_noise_std: float = 0.01, seed: int = 0):
@@ -112,19 +101,10 @@ class OdeHarmonicTask:
         states = np.asarray(pair.x0)[None, :] * np.exp(-taus)[:, None]
         return ReferencePath(times=taus, states=states)
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "dim": self._dim,
-            "endpoint_noise_std": self.endpoint_noise_std,
-            "seed": self.seed,
-        }
-
 
 class PointMassTask:
     """Move a 2D point mass from a standard-normal start to a target blob."""
 
-    kind = "point_mass"
     coupling = "independent"
 
     def __init__(self, target_mean=(3.0, 0.0), target_std: float = 0.25, seed: int = 0):
@@ -156,14 +136,6 @@ class PointMassTask:
         x1 = np.asarray(pair.x1)
         states = x0[None, :] + taus[:, None] * (x1 - x0)[None, :]
         return ReferencePath(times=taus, states=states)
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "target_mean": self.target_mean.tolist(),
-            "target_std": self.target_std,
-            "seed": self.seed,
-        }
 
 
 def task_from_dict(d: dict):

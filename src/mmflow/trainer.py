@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .autodiff import Tape, backward
-from .field_model import save_checkpoint, write_atomic
+from .field_model import save_checkpoint, write_atomic, write_csv
 from .objectives import (
     TimePairConfig,
     build_batch,
@@ -183,12 +183,8 @@ class TrainLog:
         return len(self.steps)
 
     def write_csv(self, path):
-        def write(fh):
-            fh.write("step,loss,grad_norm,lambda,lr\n")
-            for row in zip(self.steps, self.losses, self.grad_norms, self.lambdas, self.lrs):
-                fh.write(f"{row[0]}," + ",".join(f"{v:.17g}" for v in row[1:]) + "\n")
-
-        write_atomic(path, write)
+        write_csv(path, ("step", "loss", "grad_norm", "lambda", "lr"),
+                  zip(self.steps, self.losses, self.grad_norms, self.lambdas, self.lrs))
 
     @classmethod
     def read_csv(cls, path) -> "TrainLog":

@@ -3,7 +3,7 @@
 Criteria 1-6 and 10 are oracle-backed checks that run in seconds. Criterion
 7 runs the full 20,000-step reference recipe (a few minutes). Criteria 8-9
 share one 5-seed, 3-variant, 2-task training campaign through a session
-fixture (roughly 12 minutes).
+fixture, whose 30 independent runs share two worker processes.
 
 Run with:  pytest tests/test_acceptance.py -v -s
 """
@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import mmflow.cli as cli
 from mmflow.autodiff import Tape, Tensor, backward, jvp
 from mmflow.field_model import FieldConfig, init_params
 from mmflow.meanflow_math import (
@@ -220,17 +221,17 @@ ABLATION_STEPS = 3000
 ABLATION_SEEDS = (1, 2, 3, 4, 5)
 
 
-def _train_variant(task, schedule, seed):
+def _train_variant(task, schedule, seed, steps=ABLATION_STEPS):
     field = init_params(FieldConfig(
         input_dim=2, base_frequency=20.0, seed=seed + 1000, zero_init_output=True,
     ))
     cfg = TrainConfig(
-        total_steps=ABLATION_STEPS, batch_size=128, lr0=3e-4, schedule=schedule,
+        total_steps=steps, batch_size=128, lr0=3e-4, schedule=schedule,
         seed=seed, task=task, log_every=50,
         interpolation="absolute_time", target_norm="pair_span",
     )
     result = train(field, cfg)
-    rows = sum(1 for s in result.log.steps if s >= ABLATION_STEPS - 2000)
+    rows = sum(1 for s in result.log.steps if s >= steps - 2000)
     out = {
         "field": result.field,
         "halted": result.halted,
@@ -262,28 +263,58 @@ def _ode_path_metrics(entry, task, seed):
 
 
 VARIANTS = {
-    "lambda0": lambda: ConstantSchedule(0.0),
-    "lambda1": lambda: ConstantSchedule(1.0),
-    "curriculum": lambda: WarmupSchedule(ABLATION_STEPS // 8),
+    "lambda0": lambda steps: ConstantSchedule(0.0),
+    "lambda1": lambda steps: ConstantSchedule(1.0),
+    "curriculum": lambda steps: WarmupSchedule(steps // 8),
 }
+
+CAMPAIGN_TASKS = {
+    "ode": lambda s: OdeHarmonicTask(dim=2, endpoint_noise_std=0.01, seed=s),
+    "gmm": lambda s: Gmm2dTask(seed=s),
+}
+
+
+def _campaign_run(task_name, seed, variant, steps):
+    """Train and score one (task, seed, variant) run; its metrics. The
+    trained field stays behind: its leaf tensors still point at their last
+    ``Tape``, so it is not sent back from a worker process."""
+    task = CAMPAIGN_TASKS[task_name](seed + 500)
+    entry = _train_variant(task, VARIANTS[variant](steps), seed, steps)
+    if task_name == "ode":
+        _ode_path_metrics(entry, task, seed)
+    del entry["field"]
+    return entry
+
+
+def _run_campaign(seeds=ABLATION_SEEDS, steps=ABLATION_STEPS, workers=2):
+    """Every (task, seed, variant) run, in ``workers`` processes of one BLAS
+    thread each; ``campaign[task][variant]`` lists the metrics by seed."""
+    jobs = [(task_name, seed, variant) for task_name in CAMPAIGN_TASKS
+            for seed in seeds for variant in VARIANTS]
+    args = [*zip(*jobs), [steps] * len(jobs)]
+    if workers == 1:
+        entries = list(map(_campaign_run, *args))
+    else:
+        with cli._pool(workers) as pool:
+            entries = list(pool.map(_campaign_run, *args))
+    campaign = {task_name: {v: [] for v in VARIANTS} for task_name in CAMPAIGN_TASKS}
+    for (task_name, _, variant), entry in zip(jobs, entries):
+        campaign[task_name][variant].append(entry)
+    return campaign
 
 
 @pytest.fixture(scope="session")
 def ablation_campaign():
-    campaign = {}
-    for task_name, make_task in [
-        ("ode", lambda s: OdeHarmonicTask(dim=2, endpoint_noise_std=0.01, seed=s)),
-        ("gmm", lambda s: Gmm2dTask(seed=s)),
-    ]:
-        campaign[task_name] = {v: [] for v in VARIANTS}
-        for seed in ABLATION_SEEDS:
-            task = make_task(seed + 500)
-            for vname, make_sched in VARIANTS.items():
-                entry = _train_variant(task, make_sched(), seed)
-                if task_name == "ode":
-                    _ode_path_metrics(entry, task, seed)
-                campaign[task_name][vname].append(entry)
-    return campaign
+    return _run_campaign()
+
+
+def test_campaign_in_two_workers_equals_serial():
+    serial = _run_campaign(seeds=(1, 2), steps=200, workers=1)
+    pooled = _run_campaign(seeds=(1, 2), steps=200, workers=2)
+    assert len(serial["ode"]["curriculum"]) == 2
+    # repr writes each float's shortest round-trip digits, so equal reprs
+    # are equal bits (NaN included)
+    assert repr(pooled) == repr(serial)
 
 
 def _median(campaign, task, variant, key):

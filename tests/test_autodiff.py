@@ -486,6 +486,31 @@ def test_jvp_matches_central_differences_on_mlp():
     assert rel_err(tangent.data, fd) < 1e-4
 
 
+CONSTANT = np.array([0.4, -1.1, 2.0])
+
+ONE_CONSTANT_OPERAND = {
+    "constant+dual": lambda x: ad.add(as_tensor(CONSTANT), x),
+    "constant-dual": lambda x: ad.sub(as_tensor(CONSTANT), x),
+    "dual-constant": lambda x: ad.sub(x, as_tensor(CONSTANT)),
+}
+
+
+@pytest.mark.parametrize("shape", [(3,), ()], ids=["vector", "scalar-broadcast"])
+@pytest.mark.parametrize("name", sorted(ONE_CONSTANT_OPERAND))
+def test_jvp_with_one_constant_operand_matches_central_differences(name, shape):
+    # a 0-d input against the vector constant leaves a 0-d tangent, which
+    # the dual output broadcasts to the primal's shape
+    op = ONE_CONSTANT_OPERAND[name]
+    rng = np.random.default_rng(11)
+    x0 = rng.uniform(-1, 1, shape)
+    v = rng.uniform(-1, 1, shape)
+    value, tangent = jvp(op, [x0], [v])
+    assert value.shape == tangent.shape == (3,)
+    eps = 1e-6
+    fd = (op(as_tensor(x0 + eps * v)).data - op(as_tensor(x0 - eps * v)).data) / (2 * eps)
+    assert rel_err(tangent.data, fd) < 1e-6
+
+
 def test_jvp_value_equals_plain_forward_bitwise():
     rng = np.random.default_rng(3)
     x0 = rng.normal(size=(4, 2))

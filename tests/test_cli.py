@@ -296,6 +296,43 @@ def test_negative_seed_flag_exits_2_before_writing(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _tree(root):
+    return sorted(os.path.relpath(os.path.join(d, name), root)
+                  for d, dirs, files in os.walk(root) for name in dirs + files)
+
+
+@pytest.mark.parametrize("case, named", [
+    ("config-is-a-directory", "<config>"),
+    ("config-is-not-utf8", "<config>"),
+    ("out-is-a-file", "--out"),
+    ("out-under-a-file", "--out"),
+    ("output-dir-is-a-file", "output_dir"),
+])
+@pytest.mark.parametrize("command", ["train", "eval", "sample", "ablation"])
+def test_unreadable_config_or_unusable_out_exits_2_before_writing(tmp_path, capsys,
+                                                                  command, case, named):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("keep\n")
+    output_dir = blocker if case == "output-dir-is-a-file" else tmp_path / "run"
+    config = smoke_config(tmp_path, output_dir=str(output_dir))
+    if case == "config-is-a-directory":
+        config = tmp_path / "config_dir"
+        config.mkdir()
+    elif case == "config-is-not-utf8":
+        config = tmp_path / "bom.json"
+        config.write_bytes(b"\xff\xfe{}")
+    out = {"out-is-a-file": blocker, "out-under-a-file": blocker / "x"}.get(case)
+    argv = [command, "--config", str(config)]
+    argv += ["--out", str(out)] if out else []
+    argv += ["--checkpoint", str(oracle_checkpoint(tmp_path))] if command in ("eval", "sample") else []
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}: ") and err.count("\n") == 1
+    assert _tree(tmp_path) == before
+    assert blocker.read_text() == "keep\n"
+
+
 def test_negative_config_seed_exits_2(tmp_path, capsys):
     config = smoke_config(tmp_path, field={"hidden_widths": [8, 8], "time_embed_dim": 4,
                                            "base_frequency": 10.0, "seed": -1})

@@ -15,6 +15,7 @@ from mmflow.field_model import (
     load_checkpoint,
     save_checkpoint,
     write_atomic,
+    write_csv,
 )
 
 from helpers import central_difference, rel_err
@@ -274,6 +275,17 @@ def test_write_atomic_never_leaves_a_partial_file(tmp_path):
         write_atomic(path, failing)
     assert path.read_text() == "old"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "rows.csv"
+    third = 1.0 / 3.0
+    write_csv(path, ("name", "step", "value", "gap"),
+              [("a", 7, third, None), ("b", -1, float("nan"), np.float64(0.1))])
+    assert path.read_text() == ("name,step,value,gap\n"
+                                "a,7,0.33333333333333331,\n"
+                                "b,-1,nan,0.10000000000000001\n")
+    assert float(path.read_text().splitlines()[1].split(",")[2]) == third
 
 
 def test_failed_checkpoint_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):

@@ -312,7 +312,8 @@ def test_energy_distance_nine_coordinates_matches_the_difference_tensor_formula(
     assert abs(energy_distance(a, b) - expected) <= 1e-14 * abs(expected)
 
 
-@pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, 257), (257, 1), (257, 513), (513, 257)])
+@pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, 257), (257, 1), (257, 513), (513, 257),
+                                      (31, 33), (33, 31), (255, 7)])
 def test_energy_distance_across_block_boundaries(n_a, n_b):
     rng = np.random.default_rng(n_a + n_b)
     a = rng.normal(size=(n_a, 2))

@@ -112,13 +112,19 @@ def test_reference_path_grid_validation():
 # config plumbing
 
 
-def test_task_dict_roundtrip():
-    for task in (
-        Gmm2dTask(components=5, ring_radius=2.0, component_std=0.1, seed=9),
-        OdeHarmonicTask(dim=4, endpoint_noise_std=0.02, seed=8),
-        PointMassTask(target_mean=(1.0, 1.0), target_std=0.3, seed=7),
-    ):
-        clone = task_from_dict(task.to_dict())
-        assert clone.to_dict() == task.to_dict()
+def test_task_from_dict_builds_each_kind():
+    gmm = task_from_dict({"kind": "gmm2d", "components": 5, "ring_radius": 2.0,
+                          "component_std": 0.1, "seed": 9})
+    assert isinstance(gmm, Gmm2dTask)
+    assert (gmm.components, gmm.ring_radius, gmm.component_std, gmm.seed) == (5, 2.0, 0.1, 9)
+    ode = task_from_dict({"kind": "ode_harmonic", "dim": 4, "endpoint_noise_std": 0.02,
+                          "seed": 8})
+    assert isinstance(ode, OdeHarmonicTask)
+    assert (ode.dim, ode.endpoint_noise_std, ode.seed) == (4, 0.02, 8)
+    point = task_from_dict({"kind": "point_mass", "target_mean": [1.0, 1.0],
+                            "target_std": 0.3, "seed": 7})
+    assert isinstance(point, PointMassTask)
+    assert point.target_mean.tolist() == [1.0, 1.0]
+    assert (point.target_std, point.seed) == (0.3, 7)
     with pytest.raises(ValueError):
         task_from_dict({"kind": "spiral"})
