@@ -1,21 +1,25 @@
 """Minimal dense-tensor autodiff: reverse-mode tape + forward-mode JVP.
 
-Every tensor and tape value is float64. A hand-written node
-(``_emit_multi``) may compute in another dtype inside: the velocity MLP
-does its arithmetic in float32 while ``train`` steps it, and still takes
-and emits float64. Its contributions to its inputs' gradients stay in its
-dtype inside ``backward``; ``Gradients`` hands every gradient out as
-float64. A ``Tape`` records operations whenever at least one
-input is attached to it (parameters are attached lazily via their
-``requires_grad`` flag). ``backward`` walks the tape once in reverse and
-returns a gradient map. ``jvp`` runs the same operations on dual numbers;
-its tangent arithmetic is itself expressed in tape operations, so a caller
-may ask for the directional derivative to stay attached to the reverse
-graph (reverse-over-forward). By default the tangent is detached.
+Every tensor and tape value is float64. A ``Tape`` records operations
+whenever at least one input is attached to it (parameters are attached
+lazily via their ``requires_grad`` flag). Every node has one shape: a
+tuple of outputs and a closure mapping one adjoint per output (``None``
+for an output that got none) to one contribution per input. ``backward``
+walks the tape once in reverse and returns a gradient map. A hand-written
+node (``_emit_multi``) may compute in another dtype inside, as the
+velocity MLP does in float32 while ``train`` steps it; ``Gradients`` hands
+every gradient out as float64.
+
+``jvp`` runs the same operations on dual numbers. Every op lifts to them
+through one rule, ``_lift``: the op on the primals, then its tangent rule
+in tape operations, so a caller may ask for the directional derivative to
+stay attached to the reverse graph (reverse-over-forward). By default the
+tangent is detached. A field is any callable ``u(x, r, t)``.
 
 Partial gradient stopping is a first-class citizen here: ``stopgrad``
 passes values through and blocks all adjoints; ``sg_lambda`` passes values
-through bit-for-bit and scales adjoints by a factor in [0, 1].
+through bit-for-bit and is an ordinary node whose closure scales the
+adjoint by a factor in [0, 1].
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ __all__ = [
     "Gradients",
     "ShapeMismatchError",
     "as_tensor",
-    "forward_fn",
     "add",
     "sub",
     "mul",
@@ -145,33 +148,18 @@ def as_tensor(x) -> Tensor:
     return Tensor._wrap(np.array(x, dtype=np.float64))
 
 
-def forward_fn(field) -> Callable:
-    """The evaluation function u(x, r, t) of a field object or plain callable.
-
-    ``forward`` is looked up on every call of this function rather than
-    through ``__call__``, so a ``forward`` replaced on the class after it
-    was defined is the one that runs.
-    """
-    return field.forward if hasattr(field, "forward") else field
-
-
 class _Node:
-    """One recorded operation: (kind, input ids, output id, adjoint closure).
+    """One recorded operation: kind, input ids, output ids and the adjoint
+    closure ``backward_fn(*gs)``, one adjoint per output in, one
+    contribution per input out."""
 
-    ``out_gid`` is a tuple for a multi-output node; its ``backward_fn`` then
-    takes one adjoint per output, ``None`` for an output that received none.
-    ``grad_scale`` multiplies the adjoint flowing through this node; it is
-    1.0 for ordinary operations and the modulation factor for ``sg_lambda``.
-    """
+    __slots__ = ("kind", "in_gids", "out_gids", "backward_fn")
 
-    __slots__ = ("kind", "in_gids", "out_gid", "backward_fn", "grad_scale")
-
-    def __init__(self, kind, in_gids, out_gid, backward_fn, grad_scale=1.0):
+    def __init__(self, kind, in_gids, out_gids, backward_fn):
         self.kind = kind
         self.in_gids = in_gids
-        self.out_gid = out_gid
+        self.out_gids = out_gids
         self.backward_fn = backward_fn
-        self.grad_scale = grad_scale
 
 
 class Tape:
@@ -217,32 +205,29 @@ class Tape:
 # Recording state is per execution context (so per thread): a tape opened
 # on one thread never sees the operations of another.
 _TAPE_STACK: contextvars.ContextVar[tuple] = contextvars.ContextVar("tape_stack", default=())
-_PAUSE_DEPTH = contextvars.ContextVar("pause_depth", default=0)
+_PAUSED = contextvars.ContextVar("paused", default=False)
 _DUAL_ATTACH = contextvars.ContextVar("dual_attach", default=False)
 
 
 def _active_tape():
     stack = _TAPE_STACK.get()
-    if _PAUSE_DEPTH.get() or not stack:
+    if _PAUSED.get() or not stack:
         return None
     return stack[-1]
 
 
 @contextlib.contextmanager
-def pause_recording():
-    """Suspend recording; operations executed inside produce constants."""
-    token = _PAUSE_DEPTH.set(_PAUSE_DEPTH.get() + 1)
+def _tangent_ctx():
+    """Tangent arithmetic is recorded only when a jvp caller asked for it;
+    otherwise operations inside produce constants."""
+    if _DUAL_ATTACH.get():
+        yield
+        return
+    token = _PAUSED.set(True)
     try:
         yield
     finally:
-        _PAUSE_DEPTH.reset(token)
-
-
-def _tangent_ctx():
-    # Tangent arithmetic is recorded only when a jvp caller asked for it.
-    if _DUAL_ATTACH.get():
-        return contextlib.nullcontext()
-    return pause_recording()
+        _PAUSED.reset(token)
 
 
 def _gid_on(tape: Tape, t: Tensor):
@@ -253,8 +238,7 @@ def _gid_on(tape: Tape, t: Tensor):
     return None
 
 
-def _emit(kind: str, out: Tensor, inputs: Iterable[Tensor], backward_fn,
-          grad_scale: float = 1.0) -> Tensor:
+def _emit(kind: str, out: Tensor, inputs: Iterable[Tensor], backward_fn) -> Tensor:
     """Record ``out`` on the active tape if any input participates."""
     tape = _active_tape()
     if tape is None:
@@ -262,19 +246,18 @@ def _emit(kind: str, out: Tensor, inputs: Iterable[Tensor], backward_fn,
     in_gids = tuple(_gid_on(tape, t) for t in inputs)
     if all(g is None for g in in_gids):
         return out
-    out._tape = tape
-    out._gid = tape._new_gid()
-    tape.nodes.append(_Node(kind, in_gids, out._gid, backward_fn, grad_scale))
+    _emit_multi(tape, kind, (out,), in_gids, backward_fn)
     return out
 
 
 def _emit_multi(tape: Tape, kind: str, outs: tuple, in_gids: tuple, backward_fn):
-    """Record one node with several outputs on ``tape``, the active tape.
+    """Record one node with outputs ``outs`` on ``tape``, the active tape.
 
-    This is the hook for a hand-written op: ``in_gids`` come from
-    ``_gid_on(tape, ...)``, and ``backward_fn(*gs)`` takes one adjoint per
-    output (``None`` for an output that got none) and returns one
-    contribution per input (``None`` to contribute nothing).
+    This is the one place a node is appended, and the hook for a
+    hand-written op: ``in_gids`` come from ``_gid_on(tape, ...)``, and
+    ``backward_fn(*gs)`` takes one adjoint per output (``None`` for an
+    output that got none) and returns one contribution per input (``None``
+    to contribute nothing).
     """
     for out in outs:
         out._tape = tape
@@ -311,6 +294,46 @@ def _dual(primal: Tensor, tangent) -> DualTensor:
     return DualTensor(primal, tangent)
 
 
+def _lift(op, tangent_rule, *args):
+    """The one forward-mode rule: ``op`` on the primals of ``args``, then
+    ``tangent_rule(y, *primals, *tangents)`` for the tangent of ``y``.
+
+    A constant operand's tangent is ``None``, and a rule that returns
+    ``None`` gives a zero tangent. The rule runs in tape operations,
+    recorded only inside ``jvp(..., attach=True)``.
+    """
+    primals, tangents = zip(*[_unpack(a) for a in args])
+    y = op(*primals)
+    with _tangent_ctx():
+        dt = tangent_rule(y, *primals, *tangents)
+    return _dual(y, dt)
+
+
+def _plus(a, b):
+    """``add(a, b)``, where a term that is ``None`` is left out."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return add(a, b)
+
+
+def _bilinear(op):
+    """The tangent rule of a bilinear ``op``: ``op(at, bp) + op(ap, bt)``."""
+
+    def rule(y, ap, bp, at, bt):
+        left = None if at is None else op(at, bp)
+        right = None if bt is None else op(ap, bt)
+        return _plus(left, right)
+
+    return rule
+
+
+def _zeros_for_none(primals, tangents):
+    """The tangents, with a zero constant for each one that is ``None``."""
+    return [_zeros_const(p.shape) if t is None else t for p, t in zip(primals, tangents)]
+
+
 # ---------------------------------------------------------------------------
 # elementwise operations (exact shape match or 0-d scalar broadcast)
 
@@ -333,17 +356,7 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b):
     if _is_dual(a) or _is_dual(b):
-        ap, at = _unpack(a)
-        bp, bt = _unpack(b)
-        y = add(ap, bp)
-        with _tangent_ctx():
-            if at is None:
-                dt = bt
-            elif bt is None:
-                dt = at
-            else:
-                dt = add(at, bt)
-        return _dual(y, dt)
+        return _lift(add, lambda y, ap, bp, at, bt: _plus(at, bt), a, b)
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise("add", a, b)
     out = Tensor._wrap(a.data + b.data)
@@ -355,19 +368,17 @@ def add(a, b):
     return _emit("add", out, (a, b), bwd)
 
 
+def _sub_tangent(y, ap, bp, at, bt):
+    if at is None:
+        return neg(bt)
+    if bt is None:
+        return at
+    return sub(at, bt)
+
+
 def sub(a, b):
     if _is_dual(a) or _is_dual(b):
-        ap, at = _unpack(a)
-        bp, bt = _unpack(b)
-        y = sub(ap, bp)
-        with _tangent_ctx():
-            if at is None:
-                dt = neg(bt)
-            elif bt is None:
-                dt = at
-            else:
-                dt = sub(at, bt)
-        return _dual(y, dt)
+        return _lift(sub, _sub_tangent, a, b)
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise("sub", a, b)
     out = Tensor._wrap(a.data - b.data)
@@ -381,17 +392,7 @@ def sub(a, b):
 
 def mul(a, b):
     if _is_dual(a) or _is_dual(b):
-        ap, at = _unpack(a)
-        bp, bt = _unpack(b)
-        y = mul(ap, bp)
-        with _tangent_ctx():
-            terms = []
-            if at is not None:
-                terms.append(mul(at, bp))
-            if bt is not None:
-                terms.append(mul(ap, bt))
-            dt = terms[0] if len(terms) == 1 else add(terms[0], terms[1])
-        return _dual(y, dt)
+        return _lift(mul, _bilinear(mul), a, b)
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise("mul", a, b)
     out = Tensor._wrap(a.data * b.data)
@@ -403,20 +404,16 @@ def mul(a, b):
     return _emit("mul", out, (a, b), bwd)
 
 
+def _div_tangent(y, ap, bp, at, bt):
+    # d(a/b) = da/b - (a/b) * db/b
+    left = None if at is None else div(at, bp)
+    right = None if bt is None else neg(div(mul(y, bt), bp))
+    return _plus(left, right)
+
+
 def div(a, b):
     if _is_dual(a) or _is_dual(b):
-        ap, at = _unpack(a)
-        bp, bt = _unpack(b)
-        y = div(ap, bp)
-        with _tangent_ctx():
-            # d(a/b) = da/b - (a/b) * db/b
-            terms = []
-            if at is not None:
-                terms.append(div(at, bp))
-            if bt is not None:
-                terms.append(neg(div(mul(y, bt), bp)))
-            dt = terms[0] if len(terms) == 1 else add(terms[0], terms[1])
-        return _dual(y, dt)
+        return _lift(div, _div_tangent, a, b)
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise("div", a, b)
     out = Tensor._wrap(a.data / b.data)
@@ -429,12 +426,11 @@ def div(a, b):
 
 
 def _unary(kind, a, value_fn, grad_fn, tangent_fn):
+    """An elementwise op: ``value_fn(x)``, adjoint ``grad_fn(g, x, y)`` and
+    tangent rule ``tangent_fn(y, ap, at)``."""
     if _is_dual(a):
-        ap, at = _unpack(a)
-        y = _unary(kind, ap, value_fn, grad_fn, tangent_fn)
-        with _tangent_ctx():
-            dt = tangent_fn(ap, y, at)
-        return _dual(y, dt)
+        return _lift(lambda ap: _unary(kind, ap, value_fn, grad_fn, tangent_fn),
+                     tangent_fn, a)
     a = as_tensor(a)
     out = Tensor._wrap(value_fn(a.data))
     ad, od = a.data, out.data
@@ -447,32 +443,32 @@ def _unary(kind, a, value_fn, grad_fn, tangent_fn):
 
 def neg(a):
     return _unary("neg", a, lambda x: -x, lambda g, x, y: -g,
-                  lambda ap, y, at: neg(at))
+                  lambda y, ap, at: neg(at))
 
 
 def square(a):
     return _unary("square", a, np.square, lambda g, x, y: 2.0 * x * g,
-                  lambda ap, y, at: mul(mul(2.0, ap), at))
+                  lambda y, ap, at: mul(mul(2.0, ap), at))
 
 
 def tanh(a):
     return _unary("tanh", a, np.tanh, lambda g, x, y: (1.0 - y * y) * g,
-                  lambda ap, y, at: mul(sub(1.0, square(y)), at))
+                  lambda y, ap, at: mul(sub(1.0, square(y)), at))
 
 
 def exp(a):
     return _unary("exp", a, np.exp, lambda g, x, y: y * g,
-                  lambda ap, y, at: mul(y, at))
+                  lambda y, ap, at: mul(y, at))
 
 
 def sin(a):
     return _unary("sin", a, np.sin, lambda g, x, y: np.cos(x) * g,
-                  lambda ap, y, at: mul(cos(ap), at))
+                  lambda y, ap, at: mul(cos(ap), at))
 
 
 def cos(a):
     return _unary("cos", a, np.cos, lambda g, x, y: -np.sin(x) * g,
-                  lambda ap, y, at: neg(mul(sin(ap), at)))
+                  lambda y, ap, at: neg(mul(sin(ap), at)))
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +477,7 @@ def cos(a):
 
 def matmul(a, b):
     if _is_dual(a) or _is_dual(b):
-        ap, at = _unpack(a)
-        bp, bt = _unpack(b)
-        y = matmul(ap, bp)
-        with _tangent_ctx():
-            terms = []
-            if at is not None:
-                terms.append(matmul(at, bp))
-            if bt is not None:
-                terms.append(matmul(ap, bt))
-            dt = terms[0] if len(terms) == 1 else add(terms[0], terms[1])
-        return _dual(y, dt)
+        return _lift(matmul, _bilinear(matmul), a, b)
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeMismatchError(
@@ -513,11 +499,7 @@ def matmul(a, b):
 def sum_all(a):
     """Sum every element down to a 0-d scalar."""
     if _is_dual(a):
-        ap, at = _unpack(a)
-        y = sum_all(ap)
-        with _tangent_ctx():
-            dt = sum_all(at)
-        return _dual(y, dt)
+        return _lift(sum_all, lambda y, ap, at: sum_all(at), a)
     a = as_tensor(a)
     out = Tensor._wrap(np.sum(a.data))
     shape = a.shape
@@ -528,18 +510,15 @@ def sum_all(a):
     return _emit("sum_all", out, (a,), bwd)
 
 
+def _concat_tangent(y, *operands):
+    half = len(operands) // 2
+    return concat_cols(*_zeros_for_none(operands[:half], operands[half:]))
+
+
 def concat_cols(*parts):
     """Concatenate 2-d blocks with equal row counts along columns."""
     if any(_is_dual(p) for p in parts):
-        unpacked = [_unpack(p) for p in parts]
-        y = concat_cols(*(p for p, _ in unpacked))
-        with _tangent_ctx():
-            tangents = [
-                t if t is not None else _zeros_const(p.shape)
-                for p, t in unpacked
-            ]
-            dt = concat_cols(*tangents)
-        return _dual(y, dt)
+        return _lift(concat_cols, _concat_tangent, *parts)
     parts = [as_tensor(p) for p in parts]
     if len(parts) < 2:
         raise ValueError("concat_cols needs at least two blocks")
@@ -563,11 +542,7 @@ def concat_cols(*parts):
 def expand_rows(v, m: int):
     """Repeat a 1-d vector as m identical rows; adjoint sums over rows."""
     if _is_dual(v):
-        vp, vt = _unpack(v)
-        y = expand_rows(vp, m)
-        with _tangent_ctx():
-            dt = expand_rows(vt, m)
-        return _dual(y, dt)
+        return _lift(lambda vp: expand_rows(vp, m), lambda y, vp, vt: expand_rows(vt, m), v)
     v = as_tensor(v)
     if v.ndim != 1:
         raise ShapeMismatchError(f"expand_rows: expects a 1-d vector, got shape {v.shape}")
@@ -582,17 +557,7 @@ def expand_rows(v, m: int):
 def scale_rows(a, s):
     """Multiply each row of a [m, n] tensor by the matching entry of s [m]."""
     if _is_dual(a) or _is_dual(s):
-        ap, at = _unpack(a)
-        sp, st = _unpack(s)
-        y = scale_rows(ap, sp)
-        with _tangent_ctx():
-            terms = []
-            if at is not None:
-                terms.append(scale_rows(at, sp))
-            if st is not None:
-                terms.append(scale_rows(ap, st))
-            dt = terms[0] if len(terms) == 1 else add(terms[0], terms[1])
-        return _dual(y, dt)
+        return _lift(scale_rows, _bilinear(scale_rows), a, s)
     a, s = as_tensor(a), as_tensor(s)
     if a.ndim != 2 or s.ndim != 1 or a.shape[0] != s.shape[0]:
         raise ShapeMismatchError(
@@ -607,17 +572,14 @@ def scale_rows(a, s):
     return _emit("scale_rows", out, (a, s), bwd)
 
 
+def _interleave_tangent(y, ap, bp, at, bt):
+    return interleave_cols(*_zeros_for_none((ap, bp), (at, bt)))
+
+
 def interleave_cols(a, b):
     """Zip two [m, k] blocks into [m, 2k] with alternating columns."""
     if _is_dual(a) or _is_dual(b):
-        ap, at = _unpack(a)
-        bp, bt = _unpack(b)
-        y = interleave_cols(ap, bp)
-        with _tangent_ctx():
-            at = at if at is not None else _zeros_const(ap.shape)
-            bt = bt if bt is not None else _zeros_const(bp.shape)
-            dt = interleave_cols(at, bt)
-        return _dual(y, dt)
+        return _lift(interleave_cols, _interleave_tangent, a, b)
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or a.shape != b.shape:
         raise ShapeMismatchError(
@@ -642,8 +604,7 @@ def interleave_cols(a, b):
 def stopgrad(z):
     """Identity on values; blocks every adjoint into z's ancestors."""
     if _is_dual(z):
-        zp, _ = _unpack(z)
-        return _dual(stopgrad(zp), None)
+        return _lift(stopgrad, lambda y, zp, zt: None, z)
     z = as_tensor(z)
     # a detached twin sharing the same array; it carries no graph id
     return Tensor._wrap(z.data)
@@ -654,26 +615,27 @@ def sg_lambda(z, lam: float):
     into z is scaled by ``lam``; ``lam`` must lie in [0, 1].
 
     Equivalent to mixing ``lam`` parts of the live branch with ``1 - lam``
-    parts of the stopped branch; realized as a pass-through node whose
-    adjoint scale is ``lam`` so the value is shared rather than recombined
-    in floating point.
+    parts of the stopped branch; realized as an ordinary pass-through node
+    whose closure scales the adjoint by ``lam`` (none at all at 0, the
+    adjoint itself at 1), so the value is shared rather than recombined in
+    floating point.
     """
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"sg_lambda: modulation factor {lam} outside [0, 1]")
     if _is_dual(z):
-        zp, zt = _unpack(z)
-        y = sg_lambda(zp, lam)
-        with _tangent_ctx():
-            dt = None if zt is None else mul(lam, zt)
-        return _dual(y, dt)
+        return _lift(lambda zp: sg_lambda(zp, lam), lambda y, zp, zt: mul(lam, zt), z)
     z = as_tensor(z)
     out = Tensor._wrap(z.data)
 
     def bwd(g):
-        return (g,)
+        if lam == 0.0:
+            return (None,)
+        if lam == 1.0:
+            return (g,)
+        return (g * lam,)
 
-    return _emit("sg_lambda", out, (z,), bwd, grad_scale=lam)
+    return _emit("sg_lambda", out, (z,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -732,21 +694,10 @@ def backward(loss: Tensor) -> Gradients:
 
     grads: dict[int, np.ndarray] = {loss._gid: np.ones(())}
     for node in reversed(tape.nodes):
-        if type(node.out_gid) is tuple:
-            gs = [grads.pop(gid, None) for gid in node.out_gid]
-            if all(g is None for g in gs):
-                continue
-            contribs = node.backward_fn(*gs)
-        else:
-            g = grads.pop(node.out_gid, None)
-            if g is None:
-                continue
-            if node.grad_scale != 1.0:
-                if node.grad_scale == 0.0:
-                    continue
-                g = g * node.grad_scale
-            contribs = node.backward_fn(g)
-        for gid, c in zip(node.in_gids, contribs):
+        gs = [grads.pop(gid, None) for gid in node.out_gids]
+        if all(g is None for g in gs):
+            continue
+        for gid, c in zip(node.in_gids, node.backward_fn(*gs)):
             if gid is None or c is None:
                 continue
             prev = grads.get(gid)
@@ -764,12 +715,9 @@ def _view(x) -> Tensor:
     """``as_tensor`` without a copy for a float64 array: a constant over a
     read-only view of it."""
     if isinstance(x, np.ndarray) and x.dtype == np.float64:
-        t = Tensor.__new__(Tensor)
-        t.data = x.view()
-        t.data.flags.writeable = False
-        t.requires_grad = False
-        t._tape = t._gid = None
-        return t
+        view = x.view()
+        view.flags.writeable = False
+        return Tensor._wrap(view)
     return as_tensor(x)
 
 

@@ -389,8 +389,7 @@ def _load_field(checkpoint, task):
     if isinstance(field, VelocityField):
         fits = field.config.input_dim == task.dim
     else:
-        flow = getattr(field, "flow", None)
-        fits = flow is None or flow.dim == task.dim
+        fits = field.flow.dim == task.dim
     if not fits:
         print("checkpoint is not shape-compatible with the configured task", file=sys.stderr)
         return None

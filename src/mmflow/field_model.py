@@ -58,10 +58,7 @@ class TimeEmbedding:
             raise ValueError("base_frequency must be positive")
 
     def frequencies(self) -> np.ndarray:
-        half = self.dim // 2
-        if half == 1:
-            return np.array([1.0])
-        return np.geomspace(1.0, self.base_frequency, half)
+        return np.geomspace(1.0, self.base_frequency, self.dim // 2)
 
     def embed(self, t: float) -> np.ndarray:
         """Plain numpy embedding of a single scalar time."""
@@ -319,7 +316,8 @@ class VelocityField:
             ad._emit_multi(tape, "mlp", (u, du) if attach else (u,), in_gids, bwd)
         return ad.DualTensor(u, du) if dual else u
 
-    __call__ = forward
+    def __call__(self, x, r, t):
+        return self.forward(x, r, t)
 
     def _infer(self, x: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The primal of ``forward`` with no tape and no tangent: u [b, d].

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import as_tensor, forward_fn, jvp
+from .autodiff import as_tensor, jvp
 
 __all__ = [
     "AnalyticFlow",
@@ -145,7 +145,7 @@ def _expm1_ratio(g):
     return ad._unary(
         "expm1_ratio", g, _expm1_ratio_value,
         lambda grad, x, y: grad * _expm1_ratio_slope(x),
-        lambda gp, y, gt: ad.mul(as_tensor(_expm1_ratio_slope(gp.data)), gt),
+        lambda y, gp, gt: ad.mul(as_tensor(_expm1_ratio_slope(gp.data)), gt),
     )
 
 
@@ -275,7 +275,8 @@ class OracleField:
     def forward(self, x, r, t):
         return self.flow.average_velocity_op(x, r, t)
 
-    __call__ = forward
+    def __call__(self, x, r, t):
+        return self.forward(x, r, t)
 
     def to_dict(self) -> dict:
         return {
@@ -305,7 +306,7 @@ def identity_residual(u_eval, flow: AnalyticFlow, x_t, r, t) -> np.ndarray:
         raise ValueError("identity residual needs t > r")
     v = flow.velocity(x, t_arr)
     u, du = jvp(
-        forward_fn(u_eval),
+        u_eval,
         [x, r_arr, t_arr],
         [v, np.zeros_like(r_arr), np.ones_like(t_arr)],
     )
@@ -324,11 +325,10 @@ def consistency_residual(u_eval, x_t, r, s, t) -> np.ndarray:
     _, s_arr, _ = _promote(x_t, s, t)
     if np.any(r_arr >= s_arr) or np.any(s_arr >= t_arr):
         raise ValueError("consistency residual needs r < s < t")
-    fn = forward_fn(u_eval)
-    u_ts = fn(as_tensor(x), as_tensor(s_arr), as_tensor(t_arr)).data
+    u_ts = u_eval(as_tensor(x), as_tensor(s_arr), as_tensor(t_arr)).data
     x_s = x - (t_arr - s_arr)[:, None] * u_ts
-    u_rt = fn(as_tensor(x), as_tensor(r_arr), as_tensor(t_arr)).data
-    u_rs = fn(as_tensor(x_s), as_tensor(r_arr), as_tensor(s_arr)).data
+    u_rt = u_eval(as_tensor(x), as_tensor(r_arr), as_tensor(t_arr)).data
+    u_rs = u_eval(as_tensor(x_s), as_tensor(r_arr), as_tensor(s_arr)).data
     return (
         (t_arr - r_arr)[:, None] * u_rt
         - (s_arr - r_arr)[:, None] * u_rs
@@ -345,10 +345,9 @@ def limit_slope(u_eval, flow: AnalyticFlow, x, r, eps_list=(1e-2, 1e-3, 1e-4)):
     """
     x, r_arr, _ = _promote(x, r, r)
     v = flow.velocity(x, r_arr)
-    fn = forward_fn(u_eval)
     errors = []
     for eps in eps_list:
-        u = fn(as_tensor(x), as_tensor(r_arr), as_tensor(r_arr + eps)).data
+        u = u_eval(as_tensor(x), as_tensor(r_arr), as_tensor(r_arr + eps)).data
         errors.append(float(np.mean(np.linalg.norm(u - v, axis=1))))
     slope = float(np.polyfit(np.log(np.asarray(eps_list)), np.log(np.asarray(errors)), 1)[0])
     return np.array(errors), slope

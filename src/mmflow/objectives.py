@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, as_tensor, forward_fn, jvp
+from .autodiff import Tensor, as_tensor, jvp
 
 __all__ = [
     "MIN_GAP_FLOOR",
@@ -267,7 +267,7 @@ def loss_lambda(field, batch: TrainingBatch, lam: float,
         raise ValueError(f"modulation factor {lam} outside [0, 1]")
     target = _loss_target(batch, target_norm)
     u, bracket = jvp(
-        forward_fn(field),
+        field,
         [batch.x_t, batch.r, batch.t],
         [target, None, np.ones_like(batch.t)],
         attach=lam > 0.0,
@@ -288,13 +288,12 @@ def loss_full(field, batch: TrainingBatch, bracket_velocity: str = "field",
     if bracket_velocity not in ("field", "target"):
         raise ValueError(f"unknown bracket velocity source: {bracket_velocity!r}")
     target = _loss_target(batch, target_norm)
-    fwd = forward_fn(field)
     if bracket_velocity == "field":
-        seed = fwd(as_tensor(batch.x_t), as_tensor(batch.r), as_tensor(batch.t))
+        seed = field(as_tensor(batch.x_t), as_tensor(batch.r), as_tensor(batch.t))
     else:
         seed = as_tensor(target)
     u, bracket = jvp(
-        fwd,
+        field,
         [batch.x_t, batch.r, batch.t],
         [seed, np.zeros_like(batch.r), np.ones_like(batch.t)],
         attach=True,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import as_tensor, forward_fn
+from .autodiff import as_tensor
 from .field_model import write_csv
 
 __all__ = [
@@ -75,7 +75,7 @@ def one_step_sample(field, x1) -> np.ndarray:
     """x0 = x1 - u(x1, 0, 1); exactly one field evaluation for the batch."""
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     b = x1.shape[0]
-    u = forward_fn(field)(as_tensor(x1), as_tensor(np.zeros(b)), as_tensor(np.ones(b))).data
+    u = field(as_tensor(x1), as_tensor(np.zeros(b)), as_tensor(np.ones(b))).data
     return x1 - u
 
 
@@ -91,11 +91,10 @@ def few_step_sample(field, x1, n_steps: int) -> SamplePathSet:
     times = np.linspace(1.0, 0.0, n_steps + 1)
     states = np.empty((n_steps + 1, *x1.shape))
     states[0] = x1
-    fn = forward_fn(field)
     for k in range(n_steps):
         t_hi, t_lo = times[k], times[k + 1]
         x = states[k]
-        u = fn(as_tensor(x), as_tensor(np.full(b, t_lo)), as_tensor(np.full(b, t_hi))).data
+        u = field(as_tensor(x), as_tensor(np.full(b, t_lo)), as_tensor(np.full(b, t_hi))).data
         np.subtract(x, (t_hi - t_lo) * u, out=states[k + 1])
     return SamplePathSet(times=times, states=states)
 

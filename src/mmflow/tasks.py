@@ -37,8 +37,6 @@ class SamplePair:
 class Gmm2dTask:
     """Independent coupling of a standard normal prior with a ring mixture."""
 
-    coupling = "independent"
-
     def __init__(self, components: int = 8, ring_radius: float = 4.0,
                  component_std: float = 0.3, seed: int = 0):
         if components < 1:
@@ -73,8 +71,6 @@ class OdeHarmonicTask:
     time 1 under exponential decay, observed with optional Gaussian noise.
     """
 
-    coupling = "paired"
-
     def __init__(self, dim: int = 2, endpoint_noise_std: float = 0.01, seed: int = 0):
         if dim < 1:
             raise ValueError("dim must be >= 1")
@@ -104,8 +100,6 @@ class OdeHarmonicTask:
 
 class PointMassTask:
     """Move a 2D point mass from a standard-normal start to a target blob."""
-
-    coupling = "independent"
 
     def __init__(self, target_mean=(3.0, 0.0), target_std: float = 0.25, seed: int = 0):
         mean = np.asarray(target_mean, dtype=np.float64).reshape(-1)

@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from mmflow.autodiff import forward_fn
-
 
 def central_difference(f, arrays, h=1e-5):
     """Central finite differences of a scalar function of several arrays.
@@ -37,12 +35,12 @@ class EvalCounter:
     """Wraps a field and counts evaluations (one batched call = one NFE)."""
 
     def __init__(self, field):
-        self._fn = forward_fn(field)
+        self._field = field
         self.calls = 0
 
-    def forward(self, x, r, t):
+    def __call__(self, x, r, t):
         self.calls += 1
-        return self._fn(x, r, t)
+        return self._field(x, r, t)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +58,7 @@ def op_chain_loss(field, batch, lam, target_norm="sampled_gap"):
     target = _loss_target(batch, target_norm)
     gap = batch.t - batch.r
     u, bracket = ad.jvp(
-        ad.forward_fn(field),
+        field,
         [batch.x_t, batch.r, batch.t],
         [target, np.zeros_like(batch.r), np.ones_like(batch.t)],
         attach=lam > 0.0,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -321,6 +323,17 @@ def test_sg_lambda_endpoints():
     assert np.array_equal(g1, 2.0 * x.data)
 
 
+def test_sg_lambda_zero_contributes_nothing_to_its_input():
+    # the closure returns no adjoint at all, not a zero array
+    z = param([0.5, -1.5])
+    with Tape():
+        loss = ad.sum_all(ad.square(sg_lambda(z, 0.0)))
+    grads = backward(loss)
+    assert grads._raw(z) is None
+    assert np.array_equal(grads.wrt(z), [0.0, 0.0])
+    assert not np.signbit(grads.wrt(z)).any()
+
+
 def test_sg_lambda_half_scales_gradient():
     x = param(3.0)
     with Tape():
@@ -557,6 +570,110 @@ def test_jvp_through_sg_lambda_scales_tangent():
     x0 = np.array([1.0, 2.0])
     _, tangent = jvp(lambda x: sg_lambda(ad.square(x), 0.25), [x0], [np.ones_like(x0)])
     assert tangent.data == pytest.approx(0.25 * 2.0 * x0)
+
+
+def _interleave(a, b):
+    out = np.empty((a.shape[0], 2 * a.shape[1]))
+    out[:, 0::2] = a
+    out[:, 1::2] = b
+    return out
+
+
+def _or_zeros(t, like):
+    return np.zeros_like(like) if t is None else t
+
+
+def _product(op, ap, bp, at, bt):
+    # op(at, bp) + op(ap, bt), a missing term left out
+    if at is None:
+        return op(ap, bt)
+    if bt is None:
+        return op(at, bp)
+    return op(at, bp) + op(ap, bt)
+
+
+def _div_rule(y, ap, bp, at, bt):
+    if at is None:
+        return -((y * bt) / bp)
+    if bt is None:
+        return at / bp
+    return at / bp + -((y * bt) / bp)
+
+
+def _add_rule(y, ap, bp, at, bt):
+    if at is None:
+        return bt
+    if bt is None:
+        return at
+    return at + bt
+
+
+def _sub_rule(y, ap, bp, at, bt):
+    if at is None:
+        return -bt
+    if bt is None:
+        return at
+    return at - bt
+
+
+# op, operand shapes, and its tangent rule in numpy, term for term in the
+# order the op computes it: (y, *primals, *tangents), a constant's tangent None
+TANGENT_RULES = {
+    "add": (ad.add, [(3, 4), (3, 4)], _add_rule),
+    "sub": (ad.sub, [(3, 4), (3, 4)], _sub_rule),
+    "mul": (ad.mul, [(3, 4), (3, 4)],
+            lambda y, ap, bp, at, bt: _product(np.multiply, ap, bp, at, bt)),
+    "div": (ad.div, [(3, 4), (3, 4)], _div_rule),
+    "neg": (ad.neg, [(3, 4)], lambda y, ap, at: -at),
+    "square": (ad.square, [(3, 4)], lambda y, ap, at: (2.0 * ap) * at),
+    "tanh": (ad.tanh, [(3, 4)], lambda y, ap, at: (1.0 - np.square(y)) * at),
+    "exp": (ad.exp, [(3, 4)], lambda y, ap, at: y * at),
+    "sin": (ad.sin, [(3, 4)], lambda y, ap, at: np.cos(ap) * at),
+    "cos": (ad.cos, [(3, 4)], lambda y, ap, at: -(np.sin(ap) * at)),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)],
+               lambda y, ap, bp, at, bt: _product(np.matmul, ap, bp, at, bt)),
+    "sum_all": (ad.sum_all, [(3, 4)], lambda y, ap, at: np.sum(at)),
+    "concat_cols": (ad.concat_cols, [(3, 1), (3, 2), (3, 4)],
+                    lambda y, ap, bp, cp, at, bt, ct: np.concatenate(
+                        [_or_zeros(at, ap), _or_zeros(bt, bp), _or_zeros(ct, cp)], axis=1)),
+    "expand_rows": (lambda v: ad.expand_rows(v, 3), [(4,)],
+                    lambda y, vp, vt: np.broadcast_to(vt, (3, 4))),
+    "scale_rows": (ad.scale_rows, [(3, 4), (3,)],
+                   lambda y, ap, sp, at, st: _product(lambda m, v: m * v[:, None],
+                                                      ap, sp, at, st)),
+    "interleave_cols": (ad.interleave_cols, [(3, 4), (3, 4)],
+                        lambda y, ap, bp, at, bt: _interleave(_or_zeros(at, ap),
+                                                              _or_zeros(bt, bp))),
+    "stopgrad": (stopgrad, [(3, 4)], lambda y, zp, zt: np.zeros_like(zp)),
+    "sg_lambda": (lambda z: sg_lambda(z, 0.3), [(3, 4)], lambda y, zp, zt: 0.3 * zt),
+}
+
+TANGENT_CASES = [
+    (name, dual)
+    for name, (_, shapes, _) in sorted(TANGENT_RULES.items())
+    for dual in itertools.product([False, True], repeat=len(shapes))
+    if any(dual)
+]
+
+
+@pytest.mark.parametrize("attach", [False, True], ids=["detached", "attached"])
+@pytest.mark.parametrize(
+    "name, dual", TANGENT_CASES,
+    ids=[f"{n}-" + "".join("d" if d else "c" for d in dual) for n, dual in TANGENT_CASES],
+)
+def test_jvp_tangent_is_the_rule_bit_for_bit(name, dual, attach):
+    # each term in the op's own order: a reordered or dropped term changes bits
+    op, shapes, rule = TANGENT_RULES[name]
+    rng = np.random.default_rng(len(name) * 7 + sum(dual))
+    primals = [rng.uniform(0.5, 2.0, s) for s in shapes]
+    tangents = [rng.uniform(-1, 1, s) if d else None for s, d in zip(shapes, dual)]
+    with Tape():
+        value, tangent = jvp(op, [param(p) for p in primals],
+                             [None if t is None else param(t) for t in tangents],
+                             attach=attach)
+    expected = np.asarray(rule(value.data, *primals, *tangents), dtype=np.float64)
+    assert tangent.shape == expected.shape
+    assert tangent.data.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def test_reverse_over_forward_second_order():

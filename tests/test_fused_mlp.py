@@ -257,11 +257,11 @@ def test_lambda_zero_drops_the_tangent_adjoint():
     with Tape() as tape:
         loss_lambda(field, batch, 0.0)
     (node,) = [n for n in tape.nodes if n.kind == "mlp"]
-    assert len(node.out_gid) == 1
+    assert len(node.out_gids) == 1
     with Tape() as tape:
         loss_lambda(field, batch, 0.5)
     (node,) = [n for n in tape.nodes if n.kind == "mlp"]
-    assert len(node.out_gid) == 2
+    assert len(node.out_gids) == 2
 
 
 # ---------------------------------------------------------------------------
