@@ -44,7 +44,6 @@ __all__ = [
     "neg",
     "square",
     "tanh",
-    "exp",
     "sin",
     "cos",
     "matmul",
@@ -454,11 +453,6 @@ def square(a):
 def tanh(a):
     return _unary("tanh", a, np.tanh, lambda g, x, y: (1.0 - y * y) * g,
                   lambda y, ap, at: mul(sub(1.0, square(y)), at))
-
-
-def exp(a):
-    return _unary("exp", a, np.exp, lambda g, x, y: y * g,
-                  lambda y, ap, at: mul(y, at))
 
 
 def sin(a):

@@ -185,7 +185,8 @@ _SCHEMA = {
 
 def _convert(value, kind, path: str):
     """``value`` as JSON type ``kind``; ``[kind]`` is a non-empty array of it and
-    ``(kind, None)`` also admits null. Integers are accepted as numbers."""
+    ``(kind, None)`` also admits null. Integers are accepted as numbers, and a
+    number must be finite (``json`` reads ``NaN`` and ``Infinity``)."""
     if isinstance(kind, list):
         if isinstance(value, list) and value:
             return [_convert(v, kind[0], path) for v in value]
@@ -199,7 +200,15 @@ def _convert(value, kind, path: str):
               and not isinstance(value, bool))
     if not ok:
         raise ConfigError(path, f"expected {_JSON_TYPES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = float("inf")
+    if not np.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return value
 
 
 def _section(doc, path: str, **extra_defaults) -> dict:

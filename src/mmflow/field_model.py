@@ -177,12 +177,13 @@ class VelocityField:
         whole MLP is one node over ``params`` (and x and its tangent, when
         attached) with a hand-written reverse pass; its outputs are ``u``
         and, inside ``jvp(..., attach=True)``, ``du``. A call that neither
-        records nor carries a tangent takes the blocked primal pass of
-        ``_infer``, whose memory does not grow with the batch beyond its
-        input and output. In float64 the primal is bit-for-bit the op-by-op
-        pass of ``_forward_ops`` while recording or carrying a tangent, and
-        in ``_infer`` when ``r`` or ``t`` varies over a batch of at most
-        ``_BLOCK_ROWS`` rows; otherwise it agrees to 1e-12 relative.
+        records nor carries a tangent, and whose ``r`` and ``t`` are each
+        constant over the batch (as in the samplers), takes the blocked
+        primal pass of ``_infer``: only there does memory not grow with the
+        batch beyond the input and output, and only there does the float64
+        primal agree with the op-by-op pass of ``_forward_ops`` to 1e-12
+        relative rather than bit for bit. Every other call's float64
+        primal is bit-for-bit that of ``_forward_ops``.
 
         The first-layer input (the embeddings are computed in float64 and
         rounded), the tangent blocks, every matmul, ``tanh`` and the
@@ -216,8 +217,9 @@ class VelocityField:
             if in_gids.count(None) == len(in_gids):
                 tape = None
         record = tape is not None
-        if not (record or dual):
-            return Tensor._wrap(self._infer(xp.data, rp.data, tp.data))
+        r0, t0 = rp.data[:1], tp.data[:1]
+        if not (record or dual) and (rp.data == r0).all() and (tp.data == t0).all():
+            return Tensor._wrap(self._infer(xp.data, r0, t0))
         keep_tangent = record and attach
 
         ct = self.compute_dtype
@@ -320,15 +322,16 @@ class VelocityField:
         return self.forward(x, r, t)
 
     def _infer(self, x: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The primal of ``forward`` with no tape and no tangent: u [b, d].
+        """The primal of ``forward`` with no tape and no tangent at one time
+        pair: u [b, d] for x [b, d], r [1] and t [1].
 
-        Rows go through the MLP in blocks of ``_BLOCK_ROWS``. Each hidden
-        layer writes into one of two ``[block, width]`` buffers, allocated
-        once per call, with ``np.matmul(..., out=)``, an in-place bias and an
-        in-place ``tanh``; the output layer writes into the result. When
-        ``r`` and ``t`` are each constant over the batch, as in the samplers,
-        their embeddings are computed once and folded with the bias into one
-        row ``c``, so layer 0 is ``x @ W0[:d] + c``.
+        The embeddings of ``r`` and ``t`` are computed once and folded with
+        the first-layer bias into one row ``c``, so layer 0 is
+        ``x @ W0[:d] + c``. Rows then go through the MLP in blocks of
+        ``_BLOCK_ROWS``. Each hidden layer writes into one of two
+        ``[block, width]`` buffers, allocated once per call, with
+        ``np.matmul(..., out=)``, an in-place bias and an in-place ``tanh``;
+        the output layer writes into the result.
         """
         ct = self.compute_dtype
         weights = [w.data.astype(ct, copy=False) for w in self.weights]
@@ -338,33 +341,24 @@ class VelocityField:
         out = np.empty((b, weights[-1].shape[1]))
         if b == 0:
             return out
-        fold = (r == r[0]).all() and (t == t[0]).all()
-        if fold:
-            emb = np.empty((1, 2 * k), dtype=ct)
-            self._embed(r[:1], emb[:, :k])
-            self._embed(t[:1], emb[:, k:])
-            c = emb @ weights[0][d:]
-            c += biases[0]
+        emb = np.empty((1, 2 * k), dtype=ct)
+        self._embed(r, emb[:, :k])
+        self._embed(t, emb[:, k:])
+        c = emb @ weights[0][d:]
+        c += biases[0]
         rows = min(b, _BLOCK_ROWS)
-        bufs = np.empty((2, rows * max(self.config.layer_sizes)), dtype=ct)
+        bufs = np.empty((2, rows * max(self.config.layer_sizes[1:])), dtype=ct)
         last = len(weights) - 1
         for lo in range(0, b, rows):
             n = min(rows, b - lo)
-            if fold:
-                h = x[lo:lo + n].astype(ct, copy=False)
-            else:
-                # layer 0 writes into buffer 0, so its input lives in buffer 1
-                h = bufs[1, :n * (d + 2 * k)].reshape(n, d + 2 * k)
-                h[:, :d] = x[lo:lo + n]
-                self._embed(r[lo:lo + n], h[:, d:d + k])
-                self._embed(t[lo:lo + n], h[:, d + k:])
+            h = x[lo:lo + n].astype(ct, copy=False)
             for i, (W, bias) in enumerate(zip(weights, biases)):
                 width = W.shape[1]
                 if i == last and out.dtype == ct:
                     z = out[lo:lo + n]
                 else:
                     z = bufs[i % 2, :n * width].reshape(n, width)
-                if i == 0 and fold:
+                if i == 0:
                     np.matmul(h, W[:d], out=z)
                     z += c
                 else:
@@ -545,15 +539,19 @@ def _load_section(name, build, *args):
 
 def _param_vector(stored, config: FieldConfig) -> np.ndarray:
     """The stored parameters as one flat vector, checked against the
-    model's shapes."""
+    model's shapes; every value must be finite."""
     shapes = _param_shapes(config)
     if not isinstance(stored, list) or len(stored) != len(shapes):
         raise ValueError(f"expected a list of {len(shapes)} parameter tensors")
     parts = []
-    for shape, item in zip(shapes, stored):
+    for i, (shape, item) in enumerate(zip(shapes, stored)):
         if tuple(item["shape"]) != shape:
             raise ValueError(f"shape {item['shape']} does not match model shape {shape}")
-        parts.append(np.array(item["data"], dtype=np.float64).reshape(shape).ravel())
+        part = np.array(item["data"], dtype=np.float64).reshape(shape).ravel()
+        if not np.isfinite(part).all():
+            raise ValueError(f"layer {i // 2} {('weight', 'bias')[i % 2]} "
+                             "holds a non-finite value")
+        parts.append(part)
     return np.concatenate(parts)
 
 

@@ -6,13 +6,15 @@ its instantaneous velocity and trajectory in closed form as plain numpy,
 and its average velocity in closed form as tape operations, so that the
 analytic oracle ``OracleField`` can be differentiated with a
 Jacobian-vector product. One Simpson rule, ``average_velocity_oracle``,
-integrates the velocity along the numpy trajectory; it is the independent
-reference that the closed forms are checked against.
+integrates the velocity along the numpy trajectory over a fixed
+``_SIMPSON_INTERVALS`` intervals; it is the independent reference that the
+closed forms are checked against.
 
 The residual calculators measure how far a candidate field is from
 satisfying the differential identity tying average to instantaneous
-velocity (v = u + (t-r) du/dt) and the interval-additivity relation across
-overlapping sub-intervals.
+velocity (v = u + (t-r) du/dt), the interval-additivity relation across
+overlapping sub-intervals, and the shrinking-interval limit u -> v at the
+fixed gaps ``_LIMIT_GAPS``.
 """
 
 from __future__ import annotations
@@ -232,27 +234,27 @@ def rk4_solve(v_fn, x_start, t_start: float, t_end: float, steps: int) -> Refere
 # the true average velocity
 
 
-def _simpson_coeffs(n: int) -> np.ndarray:
-    if n < 2 or n % 2 != 0:
-        raise ValueError("Simpson rule needs an even interval count >= 2")
-    c = np.ones(n + 1)
-    c[1:-1:2] = 4.0
-    c[2:-1:2] = 2.0
-    return c
+# intervals of the composite Simpson rule in ``average_velocity_oracle``; even
+_SIMPSON_INTERVALS = 200
+# gaps t - r at which ``limit_slope`` measures u(x, r, r + gap) against v(x, r)
+_LIMIT_GAPS = (1e-2, 1e-3, 1e-4)
 
 
-def average_velocity_oracle(flow: AnalyticFlow, x_t, r, t, num_intervals: int = 200) -> np.ndarray:
+def average_velocity_oracle(flow: AnalyticFlow, x_t, r, t) -> np.ndarray:
     """True average velocity over [r, t] at the state x_t.
 
     Transports x_t backward along the flow and integrates the instantaneous
-    velocity with composite Simpson quadrature; the (t - r) normalization
-    cancels against the step, so no small-gap division occurs.
+    velocity with composite Simpson quadrature over ``_SIMPSON_INTERVALS``
+    intervals; the (t - r) normalization cancels against the step, so no
+    small-gap division occurs.
     """
     x, r_arr, t_arr = _promote(x_t, r, t)
     if np.any(t_arr <= r_arr):
         raise ValueError("average velocity needs t > r")
-    n = int(num_intervals)
-    coeffs = _simpson_coeffs(n)
+    n = _SIMPSON_INTERVALS
+    coeffs = np.ones(n + 1)
+    coeffs[1:-1:2] = 4.0
+    coeffs[2:-1:2] = 2.0
     acc = np.zeros_like(x)
     for i in range(n + 1):
         frac = i / n
@@ -336,18 +338,18 @@ def consistency_residual(u_eval, x_t, r, s, t) -> np.ndarray:
     )
 
 
-def limit_slope(u_eval, flow: AnalyticFlow, x, r, eps_list=(1e-2, 1e-3, 1e-4)):
+def limit_slope(u_eval, flow: AnalyticFlow, x, r):
     """Shrinking-interval behavior: u(x, r, r+eps) must approach v(x, r).
 
     Returns (errors, slope) where errors[i] is the mean deviation norm at
-    eps_list[i] and slope is the fitted log-log rate (1.0 for a clean
-    first-order approach).
+    the gap ``_LIMIT_GAPS[i]`` and slope is the fitted log-log rate (1.0
+    for a clean first-order approach).
     """
     x, r_arr, _ = _promote(x, r, r)
     v = flow.velocity(x, r_arr)
     errors = []
-    for eps in eps_list:
+    for eps in _LIMIT_GAPS:
         u = u_eval(as_tensor(x), as_tensor(r_arr), as_tensor(r_arr + eps)).data
         errors.append(float(np.mean(np.linalg.norm(u - v, axis=1))))
-    slope = float(np.polyfit(np.log(np.asarray(eps_list)), np.log(np.asarray(errors)), 1)[0])
+    slope = float(np.polyfit(np.log(np.asarray(_LIMIT_GAPS)), np.log(np.asarray(errors)), 1)[0])
     return np.array(errors), slope

@@ -275,23 +275,16 @@ def loss_lambda(field, batch: TrainingBatch, lam: float,
     return _residual_loss(u, bracket, batch.t - batch.r, target, lam)
 
 
-def loss_full(field, batch: TrainingBatch, bracket_velocity: str = "field",
-              target_norm: str = "sampled_gap"):
+def loss_full(field, batch: TrainingBatch, target_norm: str = "sampled_gap"):
     """Fully attached objective with the field itself inside the bracket.
 
     The bracket is d_t u + (grad_x u) u, so the tangent seed is the field's
     own output and gradients flow through the whole expression; requires the
-    engine to differentiate through forward-mode results. With
-    ``bracket_velocity="target"`` the seed is the regression target instead,
-    which reduces to the modulated loss at full propagation.
+    engine to differentiate through forward-mode results. Seeding the
+    regression target instead would be ``loss_lambda`` at ``lam = 1``.
     """
-    if bracket_velocity not in ("field", "target"):
-        raise ValueError(f"unknown bracket velocity source: {bracket_velocity!r}")
     target = _loss_target(batch, target_norm)
-    if bracket_velocity == "field":
-        seed = field(as_tensor(batch.x_t), as_tensor(batch.r), as_tensor(batch.t))
-    else:
-        seed = as_tensor(target)
+    seed = field(as_tensor(batch.x_t), as_tensor(batch.r), as_tensor(batch.t))
     u, bracket = jvp(
         field,
         [batch.x_t, batch.r, batch.t],

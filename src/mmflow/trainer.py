@@ -186,16 +186,6 @@ class TrainLog:
         write_csv(path, ("step", "loss", "grad_norm", "lambda", "lr"),
                   zip(self.steps, self.losses, self.grad_norms, self.lambdas, self.lrs))
 
-    @classmethod
-    def read_csv(cls, path) -> "TrainLog":
-        log = cls()
-        with open(path) as fh:
-            next(fh)
-            for line in fh:
-                cells = line.strip().split(",")
-                log.append(int(cells[0]), *map(float, cells[1:]))
-        return log
-
 
 @dataclass
 class TrainResult:

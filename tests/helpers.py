@@ -24,6 +24,15 @@ def central_difference(f, arrays, h=1e-5):
     return grads
 
 
+def read_csv_columns(path) -> dict:
+    """The columns of a CSV file written by ``write_csv``, by header name,
+    each a list of floats."""
+    with open(path) as fh:
+        header = next(fh).strip().split(",")
+        rows = [[float(cell) for cell in line.split(",")] for line in fh]
+    return dict(zip(header, (list(col) for col in zip(*rows))))
+
+
 def rel_err(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

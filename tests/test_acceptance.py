@@ -100,7 +100,7 @@ def test_criterion_3_limiting_behavior():
     oracle = average_velocity_field(flow)
     x = rng.standard_normal((128, 2))
     r = rng.uniform(0.0, 0.9, 128)
-    _, slope = limit_slope(oracle, flow, x, r, eps_list=(1e-2, 1e-3, 1e-4))
+    _, slope = limit_slope(oracle, flow, x, r)
     ok = abs(slope - 1.0) <= 0.1
     assert report(3, "shrinking-interval limit", ok,
                   f"log-log slope {slope:.4f} (1.0 +/- 0.1)")

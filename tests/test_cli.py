@@ -1,6 +1,7 @@
 import ctypes
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -20,6 +21,8 @@ from mmflow.cli import (
     main,
 )
 from mmflow.meanflow_math import HarmonicFlow, OracleField
+
+from helpers import read_csv_columns
 
 
 def smoke_config(tmp_path, **overrides):
@@ -235,6 +238,15 @@ def mlp_doc(**changes):
             "config": SMALL_FIELD, "params": [], **changes}
 
 
+def small_params(tensor, value):
+    """Zero parameters of the ``SMALL_FIELD`` MLP with the first entry of
+    tensor ``tensor`` (weight, bias, weight, bias) set to ``value``."""
+    params = [{"shape": list(shape), "data": [0.0] * math.prod(shape)}
+              for shape in ((5, 4), (4,), (4, 1), (1,))]
+    params[tensor]["data"][0] = value
+    return params
+
+
 @pytest.mark.parametrize("text, section", [
     ("[1, 2]", "not a recognized checkpoint"),
     ("NaN", "not a recognized checkpoint"),
@@ -244,18 +256,21 @@ def mlp_doc(**changes):
     (json.dumps(mlp_doc(params=[{"shape": [1], "data": [0.0]}] * 4)), "params"),
     (json.dumps({"format": "mmflow-checkpoint", "kind": "analytic_oracle", "flow": [1]}),
      "flow"),
+    (json.dumps(mlp_doc(params=small_params(1, float("nan")))), "params"),
+    (json.dumps(mlp_doc(params=small_params(0, float("inf")))), "params"),
 ], ids=["array", "nan", "config-number", "config-unknown-key", "params-number",
-        "params-shape", "flow-array"])
+        "params-shape", "flow-array", "params-nan-bias", "params-infinite-weight"])
 def test_malformed_checkpoint_exits_2_before_writing(tmp_path, capsys, text, section):
     config = smoke_config(tmp_path)
     ckpt = tmp_path / "bad.json"
     ckpt.write_text(text)
-    out = tmp_path / "never"
-    assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "checkpoint error" in err and section in err
-    assert not out.exists()
+    for command in ("eval", "sample"):
+        out = tmp_path / "never"
+        assert main([command, "--config", str(config), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint error" in err and section in err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +408,6 @@ def test_cmd_ablation_four_rows_and_schedules(tmp_path):
         "lambda0", "lambda05", "lambda1", "curriculum"
     ]
     # each sub-run's logged modulation column matches its declared schedule
-    from mmflow.trainer import TrainLog
     from mmflow.objectives import schedule_from_dict
 
     for name, sched in [
@@ -402,10 +416,10 @@ def test_cmd_ablation_four_rows_and_schedules(tmp_path):
         ("lambda1", {"kind": "constant", "value": 1.0}),
         ("curriculum", {"kind": "warmup", "t_warmup": 8}),
     ]:
-        log = TrainLog.read_csv(out / name / "trainlog.csv")
+        log = read_csv_columns(out / name / "trainlog.csv")
         schedule = schedule_from_dict(sched)
         assert all(
-            lam == schedule.at(step) for step, lam in zip(log.steps, log.lambdas)
+            lam == schedule.at(step) for step, lam in zip(log["step"], log["lambda"])
         )
     manifest = json.loads((out / "run_manifest.json").read_text())
     listed = set(manifest["artifacts"])
@@ -466,10 +480,8 @@ def test_cmd_ablation_paired_data_streams(tmp_path):
     }, eval={"n_samples": 8, "few_step_ns": [2]})
     out = tmp_path / "paired"
     assert cmd_ablation(config, out=str(out)) == 0
-    from mmflow.trainer import TrainLog
-
     first_losses = {
-        name: TrainLog.read_csv(out / name / "trainlog.csv").losses[0]
+        name: read_csv_columns(out / name / "trainlog.csv")["loss"][0]
         for name in ("lambda0", "lambda05", "lambda1", "curriculum")
     }
     assert len(set(first_losses.values())) == 1
@@ -488,8 +500,6 @@ def test_cmd_ablation_parallel_workers_match_serial(tmp_path, monkeypatch):
     assert cmd_ablation(config, out=str(tmp_path / "serial")) == 0
     monkeypatch.setenv("MMF_THREADS", "2")
     assert cmd_ablation(config, out=str(tmp_path / "parallel")) == 0
-    from mmflow.trainer import TrainLog
-
     for rel in ["ablation.csv"] + [
         os.path.join(name, artifact) for name in cli.ABLATION_VARIANTS
         for artifact in ("trainlog.csv", "ckpt_final.json")
@@ -497,8 +507,8 @@ def test_cmd_ablation_parallel_workers_match_serial(tmp_path, monkeypatch):
         a = (tmp_path / "serial" / rel).read_bytes()
         b = (tmp_path / "parallel" / rel).read_bytes()
         assert a == b, rel
-    log = TrainLog.read_csv(tmp_path / "serial" / "lambda0" / "trainlog.csv")
-    assert min(log.grad_norms) > 1e-4
+    log = read_csv_columns(tmp_path / "serial" / "lambda0" / "trainlog.csv")
+    assert min(log["grad_norm"]) > 1e-4
 
 
 def test_cmd_ablation_malformed_threads_exits_2_before_writing(tmp_path, monkeypatch, capsys):

@@ -165,11 +165,34 @@ NON_OBJECT = [
 ]
 
 
-# Python's json module reads NaN; it fails every range check
+# Python's json module reads NaN, Infinity and -Infinity. At a scalar key NaN
+# fails every range check, but Infinity passes every "> 0" and ">= 0" check
+# and no range check looks inside an array, so every number must be finite.
 NOT_A_NUMBER = [
     (_key("train", "lr0", float("nan")), "train.lr0"),
     (_key("time_pairs", "min_gap", float("nan")), "time_pairs.min_gap"),
     (_key("task", "ring_radius", float("nan"), GMM), "task.ring_radius"),
+]
+# last in CASES, since a case id carries its position there
+NOT_FINITE = [
+    (_key(section, key, float("inf"), base), f"{section}.{key}")
+    for section, key, base in [
+        ("task", "endpoint_noise_std", None),
+        ("task", "ring_radius", GMM),
+        ("task", "component_std", GMM),
+        ("task", "target_std", POINT),
+        ("field", "base_frequency", None),
+        ("train", "lr0", None),
+        ("train", "grad_clip", None),
+        ("diagnose", "identity_tol", None),
+        ("diagnose", "consistency_tol", None),
+        ("diagnose", "slope_tol", None),
+    ]
+] + [
+    (_key("task", "target_mean", mean, POINT), "task.target_mean")
+    for mean in ([float("nan"), 2.0], [1.0, float("inf")], [float("-inf"), 2.0])
+] + [
+    (_key("train", "lr0", 10**400), "train.lr0"),  # an integer beyond the float range
 ]
 # np.random.SeedSequence rejects negative entropy, so every seed must be >= 0
 NEGATIVE_SEED = [
@@ -180,7 +203,7 @@ NEGATIVE_SEED = [
     (_key("train", "seed", -3), "train.seed"),
     (_key("diagnose", "seed", -2), "diagnose.seed"),
 ]
-CASES = INVALID + NON_OBJECT + NOT_A_NUMBER + NEGATIVE_SEED
+CASES = INVALID + NON_OBJECT + NOT_A_NUMBER + NEGATIVE_SEED + NOT_FINITE
 
 
 @pytest.mark.parametrize("doc, path", CASES, ids=[f"{p}-{i}" for i, (_, p) in enumerate(CASES)])

@@ -99,11 +99,10 @@ def test_loss_lambda_matches_op_by_op(convention, target_norm, lam):
 
 @pytest.mark.parametrize("convention", ["interval_ratio", "absolute_time"])
 @pytest.mark.parametrize("target_norm", ["sampled_gap", "pair_span"])
-@pytest.mark.parametrize("source", ["field", "target"])
-def test_loss_full_matches_op_by_op(convention, target_norm, source):
+def test_loss_full_matches_op_by_op(convention, target_norm):
     field = init_params(CFG)
     batch = make_batch(np.random.default_rng(2), 16, 2, convention)
-    assert_matches_oracle(field, lambda: loss_full(field, batch, source, target_norm=target_norm))
+    assert_matches_oracle(field, lambda: loss_full(field, batch, target_norm=target_norm))
 
 
 @given(widths=st.lists(st.integers(1, 24), min_size=1, max_size=4),
@@ -137,11 +136,12 @@ def test_value_and_bracket_match_op_by_op(attach):
         assert rel(du.data, du_ref.data) <= TOL
 
 
-def test_inference_primal_is_bitwise_the_op_by_op_primal():
+@pytest.mark.parametrize("b", [64, _BLOCK_ROWS + 1, 4096])
+def test_inference_primal_is_bitwise_the_op_by_op_primal(b):
     field = init_params(CFG)
     rng = np.random.default_rng(4)
-    x = as_tensor(rng.normal(size=(64, 2)))
-    r, t = (as_tensor(a) for a in sample_time_pairs(rng, 64, TimePairConfig()))
+    x = as_tensor(rng.normal(size=(b, 2)))
+    r, t = (as_tensor(a) for a in sample_time_pairs(rng, b, TimePairConfig()))
     assert np.array_equal(field.forward(x, r, t).data, field._forward_ops(x, r, t).data)
 
 

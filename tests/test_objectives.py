@@ -340,25 +340,6 @@ def test_loss_full_linear_field_hand_derivation():
     assert loss.data == pytest.approx(expected, rel=1e-12)
 
 
-def test_loss_full_with_target_bracket_equals_lambda_one():
-    rng = np.random.default_rng(16)
-    batch = make_batch(rng)
-    field = init_params(SMALL)
-    a = loss_full(field, batch, bracket_velocity="target")
-    b = loss_lambda(field, batch, 1.0)
-    assert np.array_equal(a.data, b.data)
-
-    def gvec(loss_fn):
-        with Tape():
-            loss = loss_fn()
-        grads = backward(loss)
-        return np.concatenate([grads.wrt(p).ravel() for p in field.params])
-
-    ga = gvec(lambda: loss_full(field, batch, bracket_velocity="target"))
-    gb = gvec(lambda: loss_lambda(field, batch, 1.0))
-    assert np.max(np.abs(ga - gb)) < 1e-12
-
-
 def test_loss_full_gradients_flow_through_bracket_seed():
     cfg = FieldConfig(
         input_dim=1, hidden_widths=(4,), time_embed_dim=4, base_frequency=10.0, seed=17
