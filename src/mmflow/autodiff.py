@@ -44,14 +44,10 @@ __all__ = [
     "neg",
     "square",
     "tanh",
-    "sin",
-    "cos",
     "matmul",
     "sum_all",
-    "concat_cols",
     "expand_rows",
     "scale_rows",
-    "interleave_cols",
     "stopgrad",
     "sg_lambda",
     "backward",
@@ -328,11 +324,6 @@ def _bilinear(op):
     return rule
 
 
-def _zeros_for_none(primals, tangents):
-    """The tangents, with a zero constant for each one that is ``None``."""
-    return [_zeros_const(p.shape) if t is None else t for p, t in zip(primals, tangents)]
-
-
 # ---------------------------------------------------------------------------
 # elementwise operations (exact shape match or 0-d scalar broadcast)
 
@@ -455,16 +446,6 @@ def tanh(a):
                   lambda y, ap, at: mul(sub(1.0, square(y)), at))
 
 
-def sin(a):
-    return _unary("sin", a, np.sin, lambda g, x, y: np.cos(x) * g,
-                  lambda y, ap, at: mul(cos(ap), at))
-
-
-def cos(a):
-    return _unary("cos", a, np.cos, lambda g, x, y: -np.sin(x) * g,
-                  lambda y, ap, at: neg(mul(sin(ap), at)))
-
-
 # ---------------------------------------------------------------------------
 # structural operations
 
@@ -504,35 +485,6 @@ def sum_all(a):
     return _emit("sum_all", out, (a,), bwd)
 
 
-def _concat_tangent(y, *operands):
-    half = len(operands) // 2
-    return concat_cols(*_zeros_for_none(operands[:half], operands[half:]))
-
-
-def concat_cols(*parts):
-    """Concatenate 2-d blocks with equal row counts along columns."""
-    if any(_is_dual(p) for p in parts):
-        return _lift(concat_cols, _concat_tangent, *parts)
-    parts = [as_tensor(p) for p in parts]
-    if len(parts) < 2:
-        raise ValueError("concat_cols needs at least two blocks")
-    rows = parts[0].shape[0] if parts[0].ndim == 2 else None
-    for p in parts:
-        if p.ndim != 2 or p.shape[0] != rows:
-            raise ShapeMismatchError(
-                "concat_cols: all blocks must be 2-d with equal row counts, "
-                f"got {[p.shape for p in parts]}"
-            )
-    out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=1))
-    widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def bwd(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(widths)))
-
-    return _emit("concat_cols", out, tuple(parts), bwd)
-
-
 def expand_rows(v, m: int):
     """Repeat a 1-d vector as m identical rows; adjoint sums over rows."""
     if _is_dual(v):
@@ -564,31 +516,6 @@ def scale_rows(a, s):
         return g * sd[:, None], np.sum(g * ad, axis=1)
 
     return _emit("scale_rows", out, (a, s), bwd)
-
-
-def _interleave_tangent(y, ap, bp, at, bt):
-    return interleave_cols(*_zeros_for_none((ap, bp), (at, bt)))
-
-
-def interleave_cols(a, b):
-    """Zip two [m, k] blocks into [m, 2k] with alternating columns."""
-    if _is_dual(a) or _is_dual(b):
-        return _lift(interleave_cols, _interleave_tangent, a, b)
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ShapeMismatchError(
-            f"interleave_cols: expects equal 2-d shapes, got {a.shape} and {b.shape}"
-        )
-    m, k = a.shape
-    buf = np.empty((m, 2 * k))
-    buf[:, 0::2] = a.data
-    buf[:, 1::2] = b.data
-    out = Tensor._wrap(buf)
-
-    def bwd(g):
-        return g[:, 0::2], g[:, 1::2]
-
-    return _emit("interleave_cols", out, (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------

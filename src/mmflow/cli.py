@@ -471,6 +471,10 @@ def cmd_eval(config_path, checkpoint, out=None) -> int:
         return EXIT_CONFIG
     run = _Run(out_dir, config)
     metrics = _evaluate_field(field, task, config["eval"], config["train"]["seed"])
+    # JSON has no NaN or infinity: such a metric is written as null
+    bad = [key for key, value in metrics.items()
+           if value is not None and not np.isfinite(value)]
+    metrics.update(dict.fromkeys(bad))
     write_atomic(run.path("metrics.json"), lambda fh: json.dump(metrics, fh, indent=2))
     rng = _eval_rng(config["train"]["seed"])
     _, x1 = task.sample_pairs(rng, 1)
@@ -479,6 +483,9 @@ def cmd_eval(config_path, checkpoint, out=None) -> int:
         paths.path(0).write_csv(run.path(f"sample_path_n{n}.csv"))
     run.seal()
     print(json.dumps(metrics))
+    if bad:
+        print("non-finite metrics: " + ", ".join(bad), file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -497,6 +504,11 @@ def cmd_sample(config_path, checkpoint, out=None, seed=None, n_samples=None) -> 
     rng = _eval_rng(config["train"]["seed"])
     _, x1 = task.sample_pairs(rng, n)
     samples = one_step_sample(field, x1)
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        print(f"one-step sample row {bad[0]} is not finite ({bad.size} of {n} rows); "
+              "nothing written", file=sys.stderr)
+        return EXIT_NUMERICAL
     # one row's list at a time: samples.tolist() at 4096 rows would hold
     # 0.5 MB of float objects at once and raise the peak RSS by that much
     write_csv(run.path("samples.csv"), [f"x{j}" for j in range(samples.shape[1])],

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, as_tensor
+from .autodiff import Tensor
 
 __all__ = [
-    "TimeEmbedding",
     "FieldConfig",
     "VelocityField",
     "init_params",
@@ -41,43 +40,6 @@ _BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
-class TimeEmbedding:
-    """Sinusoidal encoding of a scalar time in [0, 1].
-
-    Component 2k is sin(w_k t) and component 2k+1 is cos(w_k t), with the
-    frequencies w_k forming a geometric ladder spanning [1, base_frequency].
-    """
-
-    dim: int
-    base_frequency: float = 1.0e4
-
-    def __post_init__(self):
-        if self.dim < 2 or self.dim % 2 != 0:
-            raise ValueError(f"time embedding dim must be even and >= 2, got {self.dim}")
-        if self.base_frequency <= 0:
-            raise ValueError("base_frequency must be positive")
-
-    def frequencies(self) -> np.ndarray:
-        return np.geomspace(1.0, self.base_frequency, self.dim // 2)
-
-    def embed(self, t: float) -> np.ndarray:
-        """Plain numpy embedding of a single scalar time."""
-        phases = self.frequencies() * float(t)
-        out = np.empty(self.dim)
-        out[0::2] = np.sin(phases)
-        out[1::2] = np.cos(phases)
-        return out
-
-    def embed_batch(self, t):
-        """Tape-op embedding of a batch of times (Tensor or DualTensor [b])."""
-        primal = t.primal if isinstance(t, ad.DualTensor) else as_tensor(t)
-        b = primal.shape[0]
-        ladder = ad.expand_rows(as_tensor(self.frequencies()), b)
-        phases = ad.scale_rows(ladder, t)
-        return ad.interleave_cols(ad.sin(phases), ad.cos(phases))
-
-
-@dataclass(frozen=True)
 class FieldConfig:
     input_dim: int
     hidden_widths: tuple = (128, 128, 128)
@@ -92,7 +54,12 @@ class FieldConfig:
             raise ValueError("input_dim must be >= 1")
         if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
             raise ValueError("hidden_widths must be non-empty positive integers")
-        TimeEmbedding(self.time_embed_dim, self.base_frequency)  # validates
+        k = self.time_embed_dim
+        if k < 2 or k % 2 != 0:
+            raise ValueError(f"time_embed_dim must be even and >= 2, got {k}")
+        if not (math.isfinite(self.base_frequency) and self.base_frequency > 0):
+            raise ValueError(
+                f"base_frequency must be finite and positive, got {self.base_frequency}")
 
     @property
     def layer_sizes(self) -> list:
@@ -134,8 +101,7 @@ class VelocityField:
         self.weights = params[0::2]
         self.biases = params[1::2]
         self.compute_dtype = np.float64
-        self._embedding = TimeEmbedding(config.time_embed_dim, config.base_frequency)
-        self._freqs = self._embedding.frequencies()
+        self._freqs = np.geomspace(1.0, config.base_frequency, config.time_embed_dim // 2)
 
     @property
     def params(self) -> list:
@@ -181,9 +147,9 @@ class VelocityField:
         constant over the batch (as in the samplers), takes the blocked
         primal pass of ``_infer``: only there does memory not grow with the
         batch beyond the input and output, and only there does the float64
-        primal agree with the op-by-op pass of ``_forward_ops`` to 1e-12
-        relative rather than bit for bit. Every other call's float64
-        primal is bit-for-bit that of ``_forward_ops``.
+        primal agree with the same MLP written in generic tape operations
+        (the test oracle) to 1e-12 relative rather than bit for bit. Every
+        other call's float64 primal is bit-for-bit that of the oracle.
 
         The first-layer input (the embeddings are computed in float64 and
         rounded), the tangent blocks, every matmul, ``tanh`` and the
@@ -386,9 +352,11 @@ class VelocityField:
         return b
 
     def _embed(self, tv: np.ndarray, out: np.ndarray):
-        """Numpy ``TimeEmbedding.embed_batch`` into ``out``, same rounding:
-        ``sin`` and ``cos`` run in float64 and round as they store into
-        ``out``, with no float64 temporary."""
+        """The sinusoidal embedding of the times ``tv`` [b] into ``out``
+        [b, k]: column 2j is sin(w_j t) and column 2j+1 is cos(w_j t), with
+        the k/2 frequencies ``_freqs`` geometric from 1 to
+        ``base_frequency``. ``sin`` and ``cos`` run in float64 and round to
+        ``out``'s dtype as they store, with no float64 temporary."""
         phases = tv[:, None] * self._freqs
         np.sin(phases, out=out[:, 0::2])
         np.cos(phases, out=out[:, 1::2])
@@ -400,23 +368,6 @@ class VelocityField:
         out[:, 0::2] = emb[:, 1::2] * dphases
         out[:, 1::2] = -(emb[:, 0::2] * dphases)
         return out
-
-    def _forward_ops(self, x, r, t):
-        """The same MLP written in tape operations; the oracle of ``forward``."""
-        primal = x.primal if isinstance(x, ad.DualTensor) else as_tensor(x)
-        if primal.ndim != 2 or primal.shape[1] != self.config.input_dim:
-            raise ad.ShapeMismatchError(
-                f"field forward: expected x of shape [b, {self.config.input_dim}], "
-                f"got {primal.shape}"
-            )
-        b = primal.shape[0]
-        h = ad.concat_cols(x, self._embedding.embed_batch(r), self._embedding.embed_batch(t))
-        last = len(self.weights) - 1
-        for i, (w, bias) in enumerate(zip(self.weights, self.biases)):
-            h = ad.add(ad.matmul(h, w), ad.expand_rows(bias, b))
-            if i != last:
-                h = ad.tanh(h)
-        return h
 
 
 def _attached(tape, v) -> bool:

@@ -53,6 +53,47 @@ class EvalCounter:
 
 
 # ---------------------------------------------------------------------------
+# the velocity MLP in generic tape operations: the oracle of the fused node
+
+
+def forward_ops(field, x, r, t):
+    """``field.forward(x, r, t)`` written in generic tape operations, so the
+    generic tape differentiates it.
+
+    The layers are ``matmul``, ``add``, ``expand_rows`` and ``tanh``. The
+    embeddings of ``r`` and ``t`` (column 2j is sin(w_j t), 2j+1 is
+    cos(w_j t)) and their tangents are plain numpy constants. ``x`` enters
+    the first-layer input through a ``matmul`` with the first rows of an
+    identity, which copies finite values exactly, so its tangent and its
+    adjoint go through the tape.
+    """
+    from mmflow import autodiff as ad
+
+    d, k = field.config.input_dim, field.config.time_embed_dim
+    freqs = np.geomspace(1.0, field.config.base_frequency, k // 2)
+    (rp, dr), (tp, dt) = ad._unpack(r), ad._unpack(t)
+    b = rp.shape[0]
+    emb, demb = np.zeros((b, d + 2 * k)), np.zeros((b, d + 2 * k))
+    for lo, tv, dtv in ((d, rp, dr), (d + k, tp, dt)):
+        phases = tv.data[:, None] * freqs
+        emb[:, lo:lo + k:2] = np.sin(phases)
+        emb[:, lo + 1:lo + k:2] = np.cos(phases)
+        if dtv is not None:
+            dphases = dtv.data[:, None] * freqs
+            demb[:, lo:lo + k:2] = np.cos(phases) * dphases
+            demb[:, lo + 1:lo + k:2] = -(np.sin(phases) * dphases)
+    if dr is not None or dt is not None:
+        emb = ad.DualTensor(ad.as_tensor(emb), ad.as_tensor(demb))
+    h = ad.add(ad.matmul(x, ad.as_tensor(np.eye(d, d + 2 * k))), emb)
+    last = len(field.weights) - 1
+    for i, (w, bias) in enumerate(zip(field.weights, field.biases)):
+        h = ad.add(ad.matmul(h, w), ad.expand_rows(bias, b))
+        if i != last:
+            h = ad.tanh(h)
+    return h
+
+
+# ---------------------------------------------------------------------------
 # the training step as it was before the fused loss node and the flat
 # parameter vector: the oracle that ``train`` must match byte for byte
 

@@ -131,8 +131,6 @@ OPS = {
     "neg": (lambda x: ad.neg(x), 1),
     "square": (lambda x: ad.square(x), 1),
     "tanh": (lambda x: ad.tanh(x), 1),
-    "sin": (lambda x: ad.sin(x), 1),
-    "cos": (lambda x: ad.cos(x), 1),
 }
 
 
@@ -178,9 +176,7 @@ def test_forward_tangent_transpose_consistent_with_reverse(name):
 
 STRUCTURAL = {
     "matmul": (lambda a, b: ad.matmul(a, b), [(2, 3), (3, 2)]),
-    "concat_cols": (lambda a, b: ad.concat_cols(a, b), [(2, 2), (2, 3)]),
     "scale_rows": (lambda a, s: ad.scale_rows(a, s), [(3, 2), (3,)]),
-    "interleave_cols": (lambda a, b: ad.interleave_cols(a, b), [(2, 2), (2, 2)]),
     "expand_rows": (lambda v: ad.expand_rows(v, 3), [(4,)]),
     "sum_all": (lambda a: ad.sum_all(a), [(2, 3)]),
 }
@@ -221,17 +217,6 @@ def test_fan_out_accumulates_gradients_once_per_node():
 # structural ops
 
 
-def test_concat_cols_roundtrip_gradients():
-    a = param(np.arange(6.0).reshape(2, 3))
-    b = param(np.ones((2, 2)))
-    w = np.arange(10.0).reshape(2, 5)
-    with Tape():
-        loss = ad.sum_all(ad.mul(ad.concat_cols(a, b), as_tensor(w)))
-    grads = backward(loss)
-    assert np.array_equal(grads.wrt(a), w[:, :3])
-    assert np.array_equal(grads.wrt(b), w[:, 3:])
-
-
 def test_expand_rows_adjoint_sums_rows():
     v = param([1.0, 2.0])
     with Tape():
@@ -251,18 +236,6 @@ def test_scale_rows_value_and_gradients():
     grads = backward(loss)
     assert np.array_equal(grads.wrt(a), np.repeat(s0[:, None], 2, axis=1))
     assert np.array_equal(grads.wrt(s), a0.sum(axis=1))
-
-
-def test_interleave_cols_alternates_and_splits_gradient():
-    a = param(np.array([[1.0, 2.0]]))
-    b = param(np.array([[10.0, 20.0]]))
-    with Tape():
-        out = ad.interleave_cols(a, b)
-        loss = ad.sum_all(ad.mul(out, as_tensor([[1.0, 2.0, 3.0, 4.0]])))
-    assert np.array_equal(out.data, [[1.0, 10.0, 2.0, 20.0]])
-    grads = backward(loss)
-    assert np.array_equal(grads.wrt(a), [[1.0, 3.0]])
-    assert np.array_equal(grads.wrt(b), [[2.0, 4.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -571,17 +544,6 @@ def test_jvp_through_sg_lambda_scales_tangent():
     assert tangent.data == pytest.approx(0.25 * 2.0 * x0)
 
 
-def _interleave(a, b):
-    out = np.empty((a.shape[0], 2 * a.shape[1]))
-    out[:, 0::2] = a
-    out[:, 1::2] = b
-    return out
-
-
-def _or_zeros(t, like):
-    return np.zeros_like(like) if t is None else t
-
-
 def _product(op, ap, bp, at, bt):
     # op(at, bp) + op(ap, bt), a missing term left out
     if at is None:
@@ -626,22 +588,14 @@ TANGENT_RULES = {
     "neg": (ad.neg, [(3, 4)], lambda y, ap, at: -at),
     "square": (ad.square, [(3, 4)], lambda y, ap, at: (2.0 * ap) * at),
     "tanh": (ad.tanh, [(3, 4)], lambda y, ap, at: (1.0 - np.square(y)) * at),
-    "sin": (ad.sin, [(3, 4)], lambda y, ap, at: np.cos(ap) * at),
-    "cos": (ad.cos, [(3, 4)], lambda y, ap, at: -(np.sin(ap) * at)),
     "matmul": (ad.matmul, [(3, 4), (4, 2)],
                lambda y, ap, bp, at, bt: _product(np.matmul, ap, bp, at, bt)),
     "sum_all": (ad.sum_all, [(3, 4)], lambda y, ap, at: np.sum(at)),
-    "concat_cols": (ad.concat_cols, [(3, 1), (3, 2), (3, 4)],
-                    lambda y, ap, bp, cp, at, bt, ct: np.concatenate(
-                        [_or_zeros(at, ap), _or_zeros(bt, bp), _or_zeros(ct, cp)], axis=1)),
     "expand_rows": (lambda v: ad.expand_rows(v, 3), [(4,)],
                     lambda y, vp, vt: np.broadcast_to(vt, (3, 4))),
     "scale_rows": (ad.scale_rows, [(3, 4), (3,)],
                    lambda y, ap, sp, at, st: _product(lambda m, v: m * v[:, None],
                                                       ap, sp, at, st)),
-    "interleave_cols": (ad.interleave_cols, [(3, 4), (3, 4)],
-                        lambda y, ap, bp, at, bt: _interleave(_or_zeros(at, ap),
-                                                              _or_zeros(bt, bp))),
     "stopgrad": (stopgrad, [(3, 4)], lambda y, zp, zt: np.zeros_like(zp)),
     "sg_lambda": (lambda z: sg_lambda(z, 0.3), [(3, 4)], lambda y, zp, zt: 0.3 * zt),
 }

@@ -273,6 +273,61 @@ def test_malformed_checkpoint_exits_2_before_writing(tmp_path, capsys, text, sec
         assert not out.exists()
 
 
+def overflowing_checkpoint(tmp_path, every_row):
+    """A finite checkpoint of the smoke config's field whose outputs
+    overflow. One output weight of 1e300 keeps the samples finite but not
+    their squares; with the last hidden layer saturated (tanh = 1) and every
+    output weight at 1e308, every output is infinite."""
+    from mmflow.field_model import FieldConfig, _state_dict, init_params
+
+    doc = _state_dict(init_params(FieldConfig(input_dim=1, hidden_widths=(8, 8),
+                                              time_embed_dim=4, base_frequency=10.0,
+                                              seed=1)))
+    weights = doc["params"][4]["data"]
+    if every_row:
+        doc["params"][3]["data"] = [50.0] * 8
+        weights[:] = [1e308] * 8
+    else:
+        weights[0] = 1e300
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_non_finite_metrics_are_written_as_null_and_exit_3(tmp_path, capsys):
+    config = smoke_config(tmp_path)
+    out = tmp_path / "eval"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["eval", "--config", str(config), "--checkpoint",
+                     str(overflowing_checkpoint(tmp_path, every_row=False)),
+                     "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    metrics = json.loads((out / "metrics.json").read_text(), parse_constant=reject_constant)
+    assert json.loads(captured.out, parse_constant=reject_constant) == metrics
+    assert metrics["one_step_mse"] is None and metrics["energy_distance"] is None
+    assert metrics["nfe"] == 1
+    assert "non-finite metrics" in captured.err
+    assert "one_step_mse" in captured.err and "energy_distance" in captured.err
+    assert "metrics.json" in json.loads((out / "run_manifest.json").read_text())["artifacts"]
+
+
+def test_non_finite_samples_exit_3_before_writing(tmp_path, capsys):
+    config = smoke_config(tmp_path)
+    out = tmp_path / "never"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["sample", "--config", str(config), "--checkpoint",
+                     str(overflowing_checkpoint(tmp_path, every_row=True)),
+                     "--out", str(out)])
+    assert code == 3
+    assert "row 0 is not finite (16 of 16 rows)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sample command
 

@@ -8,7 +8,6 @@ from mmflow import autodiff as ad
 from mmflow.autodiff import Tape, as_tensor, backward, jvp
 from mmflow.field_model import (
     FieldConfig,
-    TimeEmbedding,
     VelocityField,
     _state_dict,
     init_params,
@@ -30,52 +29,75 @@ SMALL = FieldConfig(
 # time embedding
 
 
+def embedding_field(dim, base_frequency=1.0e4):
+    return init_params(FieldConfig(input_dim=1, hidden_widths=(1,), time_embed_dim=dim,
+                                   base_frequency=base_frequency))
+
+
+def embed(field, times, dtype=np.float64):
+    """``VelocityField._embed`` of ``times`` into a new [len(times), k] array."""
+    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    out = np.empty((times.shape[0], field.config.time_embed_dim), dtype=dtype)
+    field._embed(times, out)
+    return out
+
+
 def test_embedding_at_zero_alternates_zero_one():
-    cfg = TimeEmbedding(dim=10)
-    e = cfg.embed(0.0)
+    e = embed(embedding_field(10), 0.0)[0]
     assert np.array_equal(e, np.tile([0.0, 1.0], 5))
 
 
 def test_embedding_rejects_odd_dim():
     with pytest.raises(ValueError):
-        TimeEmbedding(dim=7)
+        FieldConfig(input_dim=1, time_embed_dim=7)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("time_embed_dim", 0), ("time_embed_dim", -2), ("time_embed_dim", -3),
+    ("base_frequency", 0.0), ("base_frequency", -1.0), ("base_frequency", float("nan")),
+    ("base_frequency", float("inf")), ("base_frequency", float("-inf")),
+])
+def test_field_config_rejects_a_bad_embedding(key, value):
+    with pytest.raises(ValueError, match=key):
+        FieldConfig(input_dim=1, **{key: value})
 
 
 def test_embedding_deterministic():
-    cfg = TimeEmbedding(dim=16, base_frequency=100.0)
-    assert np.array_equal(cfg.embed(0.37), cfg.embed(0.37))
+    field = embedding_field(16, base_frequency=100.0)
+    assert np.array_equal(embed(field, 0.37), embed(field, 0.37))
 
 
 def test_embeddings_distinct_on_fine_grid():
-    cfg = TimeEmbedding(dim=8, base_frequency=1000.0)
     grid = np.round(np.arange(0, 1001) * 1e-3, 9)
-    rows = np.stack([cfg.embed(t) for t in grid])
+    rows = embed(embedding_field(8, base_frequency=1000.0), grid)
     assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
 
 
 def test_embedding_lipschitz_bounded_by_max_frequency():
-    cfg = TimeEmbedding(dim=12, base_frequency=1e4)
-    w_max = cfg.frequencies().max()
+    field = embedding_field(12, base_frequency=1e4)
+    w_max = field._freqs.max()
     delta = 1e-6
     for t in (0.0, 0.1, 0.5, 0.93):
-        diff = np.linalg.norm(cfg.embed(t + delta) - cfg.embed(t))
-        assert diff <= w_max * delta * np.sqrt(cfg.dim / 2) * (1 + 1e-9)
+        diff = np.linalg.norm(embed(field, t + delta) - embed(field, t))
+        assert diff <= w_max * delta * np.sqrt(field.config.time_embed_dim / 2) * (1 + 1e-9)
 
 
 def test_embedding_frequency_ladder_spans_one_to_base():
-    cfg = TimeEmbedding(dim=16, base_frequency=500.0)
-    freqs = cfg.frequencies()
+    freqs = embedding_field(16, base_frequency=500.0)._freqs
     assert freqs[0] == pytest.approx(1.0)
     assert freqs[-1] == pytest.approx(500.0)
     assert np.all(np.diff(freqs) > 0)
 
 
-def test_batch_embedding_matches_scalar_embedding():
-    cfg = TimeEmbedding(dim=8, base_frequency=50.0)
-    ts = np.array([0.0, 0.25, 0.8])
-    batch = cfg.embed_batch(as_tensor(ts)).data
-    single = np.stack([cfg.embed(t) for t in ts])
-    assert np.allclose(batch, single, atol=1e-15)
+def test_float32_embedding_is_the_float64_embedding_rounded():
+    # sin and cos run in float64 and round once, as they store
+    field = embedding_field(16, base_frequency=500.0)
+    times = np.random.default_rng(0).uniform(0.0, 1.0, 64)
+    phases = times[:, None] * field._freqs
+    expected = np.empty((64, 16), dtype=np.float32)
+    expected[:, 0::2] = np.sin(phases).astype(np.float32)
+    expected[:, 1::2] = np.cos(phases).astype(np.float32)
+    assert embed(field, times, np.float32).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

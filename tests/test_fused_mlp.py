@@ -1,6 +1,6 @@
 """The fused MLP node of ``VelocityField.forward`` against its op-by-op oracle.
 
-``VelocityField._forward_ops`` writes the same MLP in tape operations, so
+``helpers.forward_ops`` writes the same MLP in generic tape operations, so
 the generic tape differentiates it. Every quantity the training step reads
 (loss, ``u``, the bracket ``du`` and each parameter gradient) must agree
 with it to 1e-12 relative, and the primal must agree bit for bit. The
@@ -30,7 +30,7 @@ from mmflow.objectives import (
 )
 from mmflow.sampler_eval import few_step_sample, one_step_sample
 
-from helpers import op_chain_loss, op_chain_residual_loss
+from helpers import central_difference, forward_ops, op_chain_loss, op_chain_residual_loss
 
 TOL = 1e-12
 
@@ -42,7 +42,7 @@ CFG = FieldConfig(input_dim=2, hidden_widths=(16, 12, 16), time_embed_dim=8,
 def op_by_op():
     """Route ``VelocityField.forward`` through the op-by-op pass."""
     fused = VelocityField.forward
-    VelocityField.forward = VelocityField._forward_ops
+    VelocityField.forward = forward_ops
     try:
         yield
     finally:
@@ -142,7 +142,7 @@ def test_inference_primal_is_bitwise_the_op_by_op_primal(b):
     rng = np.random.default_rng(4)
     x = as_tensor(rng.normal(size=(b, 2)))
     r, t = (as_tensor(a) for a in sample_time_pairs(rng, b, TimePairConfig()))
-    assert np.array_equal(field.forward(x, r, t).data, field._forward_ops(x, r, t).data)
+    assert np.array_equal(field.forward(x, r, t).data, forward_ops(field, x, r, t).data)
 
 
 def test_input_adjoints_of_state_and_its_tangent():
@@ -166,6 +166,27 @@ def test_input_adjoints_of_state_and_its_tangent():
         ref = run()
     for g, g_ref in zip(fused, ref):
         assert rel(g, g_ref) <= TOL
+
+
+def test_op_by_op_tangent_matches_central_differences():
+    # the oracle's time tangent is hand-written numpy, as the node's is, so
+    # a sign error shared by both would pass every comparison above
+    rng = np.random.default_rng(21)
+    field = with_offsets(init_params(CFG), rng)
+    x = rng.normal(size=(6, 2))
+    r, t = sample_time_pairs(rng, 6, TimePairConfig())
+    w = rng.normal(size=(6, 2))
+
+    def f(arrays):
+        return float(np.sum(w * forward_ops(field, *arrays).data))
+
+    grads = central_difference(f, [x, r, t])
+    for tangents in ([rng.normal(size=(6, 2)), np.zeros(6), np.zeros(6)],
+                     [np.zeros((6, 2)), np.ones(6), np.zeros(6)],
+                     [np.zeros((6, 2)), np.zeros(6), np.ones(6)]):
+        _, du = jvp(lambda *a: forward_ops(field, *a), [x, r, t], tangents)
+        expected = sum(float(np.sum(g * v)) for g, v in zip(grads, tangents))
+        assert float(np.sum(w * du.data)) == pytest.approx(expected, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +359,7 @@ def test_blocked_pass_matches_op_by_op(b, constant):
     field = with_offsets(init_params(CFG), rng)
     args = [as_tensor(a) for a in inference_inputs(rng, b, constant)]
     u = field.forward(*args).data
-    ref = field._forward_ops(*args).data
+    ref = forward_ops(field, *args).data
     assert u.shape == ref.shape == (b, 2) and u.dtype == np.float64
     if b:
         assert rel(u, ref) <= TOL
