@@ -421,7 +421,7 @@ def _path_metrics(field, task, pairs, n_steps: int):
             pass
     d_path = float(np.mean(d_vals)) if d_vals else None
     smooth = float(np.mean(s_vals)) if s_vals else None
-    return d_path, smooth, paths
+    return d_path, smooth
 
 
 def _evaluate_field(field, task, eval_cfg: dict, seed: int):
@@ -432,7 +432,7 @@ def _evaluate_field(field, task, eval_cfg: dict, seed: int):
     energy = energy_distance(generated, x0)
     path_n = max(eval_cfg["few_step_ns"])
     subset = min(32, eval_cfg["n_samples"])
-    d_path, smooth, _ = _path_metrics(field, task, (x0[:subset], x1[:subset]), path_n)
+    d_path, smooth = _path_metrics(field, task, (x0[:subset], x1[:subset]), path_n)
     return {
         "d_path": d_path,
         "smoothness": smooth,
@@ -440,6 +440,12 @@ def _evaluate_field(field, task, eval_cfg: dict, seed: int):
         "energy_distance": energy,
         "nfe": 1,
     }
+
+
+def _write_sample_paths(run, field, x1, few_step_ns):
+    """Per ``n`` in ``few_step_ns``, the n-step path of ``x1[0]`` as ``sample_path_n{n}.csv``."""
+    for n in few_step_ns:
+        few_step_sample(field, x1[:1], n).path(0).write_csv(run.path(f"sample_path_n{n}.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +484,7 @@ def cmd_eval(config_path, checkpoint, out=None) -> int:
     write_atomic(run.path("metrics.json"), lambda fh: json.dump(metrics, fh, indent=2))
     rng = _eval_rng(config["train"]["seed"])
     _, x1 = task.sample_pairs(rng, 1)
-    for n in config["eval"]["few_step_ns"]:
-        paths = few_step_sample(field, x1, n)
-        paths.path(0).write_csv(run.path(f"sample_path_n{n}.csv"))
+    _write_sample_paths(run, field, x1, config["eval"]["few_step_ns"])
     run.seal()
     print(json.dumps(metrics))
     if bad:
@@ -513,9 +517,7 @@ def cmd_sample(config_path, checkpoint, out=None, seed=None, n_samples=None) -> 
     # 0.5 MB of float objects at once and raise the peak RSS by that much
     write_csv(run.path("samples.csv"), [f"x{j}" for j in range(samples.shape[1])],
               (row.tolist() for row in samples))
-    for k in config["eval"]["few_step_ns"]:
-        paths = few_step_sample(field, x1[:1], k)
-        paths.path(0).write_csv(run.path(f"sample_path_n{k}.csv"))
+    _write_sample_paths(run, field, x1, config["eval"]["few_step_ns"])
     run.seal()
     print(f"wrote {n} one-step samples to {out_dir}")
     return EXIT_OK

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -49,7 +50,12 @@ class FieldConfig:
     zero_init_output: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
+        for name in ("input_dim", "time_embed_dim", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "hidden_widths",
+                           tuple(_integer("hidden_widths", w) for w in self.hidden_widths))
+        if not isinstance(self.zero_init_output, bool):
+            raise TypeError(f"zero_init_output must be a bool, got {self.zero_init_output!r}")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
@@ -57,9 +63,9 @@ class FieldConfig:
         k = self.time_embed_dim
         if k < 2 or k % 2 != 0:
             raise ValueError(f"time_embed_dim must be even and >= 2, got {k}")
-        if not (math.isfinite(self.base_frequency) and self.base_frequency > 0):
-            raise ValueError(
-                f"base_frequency must be finite and positive, got {self.base_frequency}")
+        f = self.base_frequency
+        if isinstance(f, bool) or not (math.isfinite(f) and f > 0):
+            raise ValueError(f"base_frequency must be finite and positive, got {f!r}")
 
     @property
     def layer_sizes(self) -> list:
@@ -74,6 +80,13 @@ class FieldConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "FieldConfig":
         return cls(**{**d, "hidden_widths": tuple(d["hidden_widths"])})
+
+
+def _integer(name: str, value) -> int:
+    """``value`` through ``operator.index``; a bool, float or str raises ``TypeError``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name}: expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 class VelocityField:
@@ -140,16 +153,16 @@ class VelocityField:
         ``DualTensor(u, du)`` and carries the tangent layer by layer,
         skipping each block of the first-layer input (x, r embedding,
         t embedding) whose tangent is all zero. While a tape records, the
-        whole MLP is one node over ``params`` (and x and its tangent, when
+        whole MLP is one node over ``params`` (and the tangent of x, when
         attached) with a hand-written reverse pass; its outputs are ``u``
-        and, inside ``jvp(..., attach=True)``, ``du``. A call that neither
-        records nor carries a tangent, and whose ``r`` and ``t`` are each
-        constant over the batch (as in the samplers), takes the blocked
+        and, inside ``jvp(..., attach=True)``, ``du``. A float64 call that
+        neither records nor carries a tangent, and whose ``r`` and ``t`` are
+        each constant over the batch (as in the samplers), takes the blocked
         primal pass of ``_infer``: only there does memory not grow with the
-        batch beyond the input and output, and only there does the float64
-        primal agree with the same MLP written in generic tape operations
-        (the test oracle) to 1e-12 relative rather than bit for bit. Every
-        other call's float64 primal is bit-for-bit that of the oracle.
+        batch beyond the input and output, and only there does the primal
+        agree with the same MLP written in generic tape operations (the test
+        oracle) to 1e-12 relative rather than bit for bit. Every other
+        call's float64 primal is bit-for-bit that of the oracle.
 
         The first-layer input (the embeddings are computed in float64 and
         rounded), the tangent blocks, every matmul, ``tanh`` and the
@@ -159,9 +172,9 @@ class VelocityField:
         In float32 an input or adjoint beyond its range (about 3.4e38)
         becomes infinite when it is cast.
 
-        The times are never differentiated in reverse mode: ``ValueError``
-        is raised when ``r`` or ``t`` is attached to the recording tape, or,
-        inside ``jvp(..., attach=True)``, when their tangent is.
+        Only the parameters and the tangent of x get adjoints: ``ValueError``
+        is raised when ``x``, ``r`` or ``t`` is attached to the recording tape,
+        or, inside ``jvp(..., attach=True)``, when the tangent of ``r`` or ``t`` is.
         """
         xp, dx = ad._unpack(x)
         rp, dr = ad._unpack(r)
@@ -170,25 +183,23 @@ class VelocityField:
         dual = dx is not None or dr is not None or dt is not None
         attach = dual and ad._DUAL_ATTACH.get()
         tape = ad._active_tape()
-        if tape is not None:
-            if (_attached(tape, rp) or _attached(tape, tp)
+        record = tape is not None
+        if record:
+            if (_attached(tape, xp) or _attached(tape, rp) or _attached(tape, tp)
                     or attach and (_attached(tape, dr) or _attached(tape, dt))):
                 raise ValueError(
-                    "field forward: r, t and their tangents must not be attached "
-                    "to the recording tape"
+                    "field forward: x, r, t and the tangents of r and t must not be "
+                    "attached to the recording tape"
                 )
-            gid_on = ad._gid_on
-            in_gids = [gid_on(tape, p) for p in self.params]
-            in_gids += (gid_on(tape, xp), gid_on(tape, dx) if attach and dx is not None else None)
-            if in_gids.count(None) == len(in_gids):
-                tape = None
-        record = tape is not None
+            in_gids = [ad._gid_on(tape, p) for p in self.params]
+            in_gids.append(ad._gid_on(tape, dx) if attach and dx is not None else None)
+        ct = self.compute_dtype
         r0, t0 = rp.data[:1], tp.data[:1]
-        if not (record or dual) and (rp.data == r0).all() and (tp.data == t0).all():
+        if (not (record or dual) and ct == np.float64
+                and (rp.data == r0).all() and (tp.data == t0).all()):
             return Tensor._wrap(self._infer(xp.data, r0, t0))
         keep_tangent = record and attach
 
-        ct = self.compute_dtype
         weights = [w.data.astype(ct, copy=False) for w in self.weights]
         biases = [bias.data.astype(ct, copy=False) for bias in self.biases]
         d, k = self.config.input_dim, self.config.time_embed_dim
@@ -275,8 +286,6 @@ class VelocityField:
                         gdz = gdh
                     gh *= s
                     gz = gh
-                if in_gids[-2] is not None:
-                    out[-2] = gz @ weights[0][:d].T
                 if in_gids[-1] is not None and gdz is not None:
                     out[-1] = gdz @ weights[0][:d].T
                 return out
@@ -289,7 +298,8 @@ class VelocityField:
 
     def _infer(self, x: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The primal of ``forward`` with no tape and no tangent at one time
-        pair: u [b, d] for x [b, d], r [1] and t [1].
+        pair: u [b, d] for x [b, d], r [1] and t [1]. It computes in float64
+        only; ``forward`` sends a float32 field the fused pass instead.
 
         The embeddings of ``r`` and ``t`` are computed once and folded with
         the first-layer bias into one row ``c``, so layer 0 is
@@ -299,31 +309,27 @@ class VelocityField:
         ``np.matmul(..., out=)``, an in-place bias and an in-place ``tanh``;
         the output layer writes into the result.
         """
-        ct = self.compute_dtype
-        weights = [w.data.astype(ct, copy=False) for w in self.weights]
-        biases = [bias.data.astype(ct, copy=False) for bias in self.biases]
+        weights = [w.data for w in self.weights]
+        biases = [bias.data for bias in self.biases]
         d, k = self.config.input_dim, self.config.time_embed_dim
         b = x.shape[0]
-        out = np.empty((b, weights[-1].shape[1]))
+        out = np.empty((b, d))
         if b == 0:
             return out
-        emb = np.empty((1, 2 * k), dtype=ct)
+        emb = np.empty((1, 2 * k))
         self._embed(r, emb[:, :k])
         self._embed(t, emb[:, k:])
         c = emb @ weights[0][d:]
         c += biases[0]
         rows = min(b, _BLOCK_ROWS)
-        bufs = np.empty((2, rows * max(self.config.layer_sizes[1:])), dtype=ct)
+        bufs = np.empty((2, rows * max(self.config.layer_sizes[1:])))
         last = len(weights) - 1
         for lo in range(0, b, rows):
             n = min(rows, b - lo)
-            h = x[lo:lo + n].astype(ct, copy=False)
+            h = x[lo:lo + n]
             for i, (W, bias) in enumerate(zip(weights, biases)):
                 width = W.shape[1]
-                if i == last and out.dtype == ct:
-                    z = out[lo:lo + n]
-                else:
-                    z = bufs[i % 2, :n * width].reshape(n, width)
+                z = out[lo:lo + n] if i == last else bufs[i % 2, :n * width].reshape(n, width)
                 if i == 0:
                     np.matmul(h, W[:d], out=z)
                     z += c
@@ -333,8 +339,6 @@ class VelocityField:
                 if i != last:
                     np.tanh(z, out=z)
                 h = z
-            if out.dtype != ct:
-                out[lo:lo + n] = h
         return out
 
     def _check_inputs(self, x: Tensor, r: Tensor, t: Tensor) -> int:
@@ -483,7 +487,7 @@ def _load_section(name, build, *args):
     names the checkpoint section ``name``."""
     try:
         return build(*args)
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
         detail = f"missing key {err}" if isinstance(err, KeyError) else err
         raise ValueError(f"checkpoint {name}: malformed ({detail})") from None
 
@@ -509,12 +513,16 @@ def _param_vector(stored, config: FieldConfig) -> np.ndarray:
 def load_checkpoint(path):
     """Load a checkpoint; returns a VelocityField or an oracle field adapter.
 
-    A malformed file raises ``ValueError`` naming the bad section.
+    A malformed file raises ``ValueError`` naming the bad section. A
+    ``version`` other than 1, the only one, is rejected; a missing one reads as 1.
     """
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a recognized checkpoint file: {path}")
+    version = doc.get("version", 1)
+    if type(version) is not int or version != 1:
+        raise ValueError(f"checkpoint version: expected 1, got {version!r}")
     kind = doc.get("kind", "mlp")
     if kind == "mlp":
         config = _load_section("config", FieldConfig.from_dict, doc.get("config"))

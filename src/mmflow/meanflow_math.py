@@ -19,6 +19,7 @@ fixed gaps ``_LIMIT_GAPS``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,11 +153,19 @@ def _expm1_ratio(g):
 
 
 def flow_from_dict(d: dict) -> AnalyticFlow:
+    """The flow ``to_dict`` wrote; a malformed value raises ``ValueError``."""
     kind = d.get("kind")
     if kind == "constant":
-        return ConstantFlow(d["c"])
+        c = d["c"]
+        if not (isinstance(c, list) and c
+                and all(type(v) in (int, float) and math.isfinite(v) for v in c)):
+            raise ValueError(f"c must be a flat, non-empty list of finite numbers, got {c!r}")
+        return ConstantFlow(c)
     if kind == "harmonic":
-        return HarmonicFlow(int(d["dim"]))
+        dim = d["dim"]
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+        return HarmonicFlow(dim)
     raise ValueError(f"unknown analytic flow kind: {kind!r}")
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "WarmupSchedule",
     "schedule_from_dict",
     "sample_time_pairs",
-    "interpolate",
     "target_velocity",
     "build_batch",
     "loss_lambda",
@@ -121,7 +120,7 @@ def schedule_from_dict(d: dict):
 
 
 # ---------------------------------------------------------------------------
-# time pairs and interpolation
+# time pairs, targets and batches
 
 
 def sample_time_pairs(rng, batch_size: int, cfg: TimePairConfig):
@@ -154,19 +153,6 @@ def sample_time_pairs(rng, batch_size: int, cfg: TimePairConfig):
     return r, t
 
 
-def interpolate(x0, x1, r, t) -> np.ndarray:
-    """x_t = (1 - a) x0 + a x1 with a = (t - r)/(1 - r)."""
-    return _interpolate(*(np.asarray(a, dtype=np.float64) for a in (x0, x1, r, t)))
-
-
-def _interpolate(x0, x1, r, t) -> np.ndarray:
-    """``interpolate`` of float64 arrays."""
-    if np.any(1.0 - r < MIN_GAP_FLOOR):
-        raise ValueError(f"interpolate: r too close to 1 (needs 1 - r >= {MIN_GAP_FLOOR})")
-    alpha = (t - r) / (1.0 - r)
-    return (1.0 - alpha)[..., None] * x0 + alpha[..., None] * x1
-
-
 def target_velocity(x0, x1, r, t) -> np.ndarray:
     """Regression target (x1 - x0)/(t - r); plain data, never on a tape."""
     x0 = np.asarray(x0, dtype=np.float64)
@@ -178,21 +164,25 @@ def target_velocity(x0, x1, r, t) -> np.ndarray:
 
 
 def build_batch(x0, x1, r, t, convention: str = "interval_ratio") -> TrainingBatch:
-    """Assemble a TrainingBatch; ``convention`` picks the interpolation weight.
+    """Assemble a TrainingBatch with x_t = (1 - a) x0 + a x1, where
+    ``convention`` picks the interpolation weight a.
 
-    "interval_ratio" uses a = (t-r)/(1-r); "absolute_time" uses a = t, which
-    makes x_t independent of r.
+    "interval_ratio" uses a = (t-r)/(1-r) and needs 1 - r >= ``MIN_GAP_FLOOR``;
+    "absolute_time" uses a = t, which makes x_t independent of r.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     x1 = np.asarray(x1, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if convention == "interval_ratio":
-        x_t = _interpolate(x0, x1, r, t)
+        if np.any(1.0 - r < MIN_GAP_FLOOR):
+            raise ValueError(f"interpolation: r too close to 1 (needs 1 - r >= {MIN_GAP_FLOOR})")
+        a = (t - r) / (1.0 - r)
     elif convention == "absolute_time":
-        x_t = (1.0 - t)[..., None] * x0 + t[..., None] * x1
+        a = t
     else:
         raise ValueError(f"unknown interpolation convention: {convention!r}")
+    x_t = (1.0 - a)[..., None] * x0 + a[..., None] * x1
     return TrainingBatch(x0=x0, x1=x1, r=r, t=t, x_t=x_t, convention=convention)
 
 

@@ -238,6 +238,17 @@ def mlp_doc(**changes):
             "config": SMALL_FIELD, "params": [], **changes}
 
 
+def oracle_doc(**flow):
+    return {"format": "mmflow-checkpoint", "version": 1, "kind": "analytic_oracle",
+            "flow": flow}
+
+
+def valid_mlp_doc(**changes):
+    """``mlp_doc`` with parameters that fit ``SMALL_FIELD``, so only
+    ``changes`` can make it malformed."""
+    return mlp_doc(**{"params": small_params(0, 0.0), **changes})
+
+
 def small_params(tensor, value):
     """Zero parameters of the ``SMALL_FIELD`` MLP with the first entry of
     tensor ``tensor`` (weight, bias, weight, bias) set to ``value``."""
@@ -258,8 +269,25 @@ def small_params(tensor, value):
      "flow"),
     (json.dumps(mlp_doc(params=small_params(1, float("nan")))), "params"),
     (json.dumps(mlp_doc(params=small_params(0, float("inf")))), "params"),
+    (json.dumps(oracle_doc(kind="harmonic", dim=1.5)), "flow"),
+    (json.dumps(oracle_doc(kind="harmonic", dim="1")), "flow"),
+    (json.dumps(oracle_doc(kind="harmonic", dim=True)), "flow"),
+    (json.dumps(oracle_doc(kind="constant", c=[[0.5]])), "flow"),
+    (json.dumps(oracle_doc(kind="constant", c=[float("nan")])), "flow"),
+    (json.dumps(oracle_doc(kind="constant", c=[10**400])), "flow"),
+    (json.dumps(valid_mlp_doc(config={**SMALL_FIELD, "hidden_widths": [4.9]})), "config"),
+    (json.dumps(valid_mlp_doc(config={**SMALL_FIELD, "hidden_widths": ["4"]})), "config"),
+    (json.dumps(valid_mlp_doc(config={**SMALL_FIELD, "zero_init_output": "no"})), "config"),
+    (json.dumps(valid_mlp_doc(config={**SMALL_FIELD, "seed": 1.5})), "config"),
+    (json.dumps(valid_mlp_doc(config={**SMALL_FIELD, "base_frequency": True})), "config"),
+    (json.dumps(valid_mlp_doc(version=99)), "version"),
+    (json.dumps(mlp_doc(params=small_params(0, 10**400))), "params"),
 ], ids=["array", "nan", "config-number", "config-unknown-key", "params-number",
-        "params-shape", "flow-array", "params-nan-bias", "params-infinite-weight"])
+        "params-shape", "flow-array", "params-nan-bias", "params-infinite-weight",
+        "flow-fractional-dim", "flow-string-dim", "flow-bool-dim", "flow-nested-c",
+        "flow-nan-c", "flow-huge-int-c", "config-fractional-width", "config-string-width",
+        "config-string-zero-init", "config-fractional-seed", "config-bool-frequency",
+        "version-99", "params-huge-int"])
 def test_malformed_checkpoint_exits_2_before_writing(tmp_path, capsys, text, section):
     config = smoke_config(tmp_path)
     ckpt = tmp_path / "bad.json"

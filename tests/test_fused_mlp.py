@@ -145,11 +145,12 @@ def test_inference_primal_is_bitwise_the_op_by_op_primal(b):
     assert np.array_equal(field.forward(x, r, t).data, forward_ops(field, x, r, t).data)
 
 
-def test_input_adjoints_of_state_and_its_tangent():
-    # x and its tangent may be attached (loss_full feeds u back as the tangent)
+def test_input_adjoints_of_the_state_tangent():
+    # the tangent of x may be attached (loss_full feeds u back as the
+    # tangent); x itself is a constant
     field = init_params(CFG)
     rng = np.random.default_rng(5)
-    x = Tensor(rng.normal(size=(8, 2)), requires_grad=True)
+    x = as_tensor(rng.normal(size=(8, 2)))
     v = Tensor(rng.normal(size=(8, 2)), requires_grad=True)
     r, t = sample_time_pairs(rng, 8, TimePairConfig())
     w = as_tensor(rng.normal(size=(8, 2)))
@@ -159,7 +160,7 @@ def test_input_adjoints_of_state_and_its_tangent():
             u, du = jvp(field.forward, [x, r, t], [v, np.zeros(8), np.ones(8)], attach=True)
             loss = ad.sum_all(ad.mul(ad.add(u, du), w))
         grads = backward(loss)
-        return [grads.wrt(a) for a in (x, v, *field.params)]
+        return [grads.wrt(a) for a in (v, *field.params)]
 
     fused = run()
     with op_by_op():
@@ -204,6 +205,8 @@ def test_attached_time_raises():
             field.forward(x, r, t)
         with pytest.raises(ValueError, match="must not be attached"):
             field.forward(x, t, r)
+        with pytest.raises(ValueError, match="must not be attached"):
+            field.forward(Tensor(x.data, requires_grad=True), as_tensor(r.data), t)
     assert len(tape) == 0
 
 
@@ -367,13 +370,19 @@ def test_blocked_pass_matches_op_by_op(b, constant):
 
 @pytest.mark.parametrize("constant", [True, False])
 @pytest.mark.parametrize("b", BATCHES[1:])
-def test_float32_blocked_pass_matches_float64(b, constant):
+def test_float32_inference_takes_the_fused_pass_and_matches_float64(b, constant, monkeypatch):
     rng = np.random.default_rng(14)
     field = with_offsets(init_params(CFG), rng)
     args = [as_tensor(a) for a in inference_inputs(rng, b, constant)]
+    expected = field.forward(*args).data
+
+    def blocked(*_):
+        raise AssertionError("a float32 call reached the blocked pass")
+
+    monkeypatch.setattr(VelocityField, "_infer", blocked)
     u = field.with_compute_dtype(np.float32).forward(*args).data
     assert u.dtype == np.float64
-    assert rel(u, field.forward(*args).data) <= 1e-5
+    assert rel(u, expected) <= 1e-5
 
 
 @pytest.mark.parametrize("constant", [True, False])

@@ -9,7 +9,6 @@ from mmflow.objectives import (
     TimePairConfig,
     WarmupSchedule,
     build_batch,
-    interpolate,
     loss_full,
     loss_lambda,
     sample_time_pairs,
@@ -90,19 +89,24 @@ def test_time_pair_config_rejects_a_min_gap_no_draw_can_meet():
 # interpolation and target
 
 
+def x_t(x0, x1, r, t):
+    """``build_batch(...).x_t`` for one row, under the interval-ratio weight."""
+    return build_batch(x0, x1, np.array([r]), np.array([t])).x_t
+
+
 def test_interpolate_endpoints():
     x0 = np.array([[1.0, 1.0]])
     x1 = np.array([[3.0, -1.0]])
-    assert np.array_equal(interpolate(x0, x1, 0.3, 0.3), x0)
-    assert np.array_equal(interpolate(x0, x1, 0.0, 1.0), x1)
+    assert np.array_equal(x_t(x0, x1, 0.3, 0.3), x0)
+    assert np.array_equal(x_t(x0, x1, 0.0, 1.0), x1)
     assert np.allclose(
-        interpolate(np.array([[0.0]]), np.array([[2.0]]), 0.0, 0.5), [[1.0]]
+        x_t(np.array([[0.0]]), np.array([[2.0]]), 0.0, 0.5), [[1.0]]
     )
 
 
 def test_interpolate_rejects_r_near_one():
-    with pytest.raises(ValueError):
-        interpolate(np.zeros((1, 1)), np.ones((1, 1)), 0.9999, 1.0)
+    with pytest.raises(ValueError, match="r too close to 1"):
+        x_t(np.zeros((1, 1)), np.ones((1, 1)), 0.9999, 1.0)
 
 
 def test_interpolation_weight_stays_in_unit_interval():
