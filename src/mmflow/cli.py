@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
-import ctypes
 import datetime
-import functools
 import hashlib
 import inspect
 import json
@@ -30,6 +27,8 @@ from .autodiff import as_tensor
 from .field_model import (
     FieldConfig,
     VelocityField,
+    _on_one_blas_thread,
+    _set_blas_threads,
     init_params,
     load_checkpoint,
     write_atomic,
@@ -476,15 +475,16 @@ def cmd_eval(config_path, checkpoint, out=None) -> int:
     if field is None:
         return EXIT_CONFIG
     run = _Run(out_dir, config)
-    metrics = _evaluate_field(field, task, config["eval"], config["train"]["seed"])
-    # JSON has no NaN or infinity: such a metric is written as null
-    bad = [key for key, value in metrics.items()
-           if value is not None and not np.isfinite(value)]
-    metrics.update(dict.fromkeys(bad))
-    write_atomic(run.path("metrics.json"), lambda fh: json.dump(metrics, fh, indent=2))
-    rng = _eval_rng(config["train"]["seed"])
-    _, x1 = task.sample_pairs(rng, 1)
-    _write_sample_paths(run, field, x1, config["eval"]["few_step_ns"])
+    with _on_one_blas_thread():
+        metrics = _evaluate_field(field, task, config["eval"], config["train"]["seed"])
+        # JSON has no NaN or infinity: such a metric is written as null
+        bad = [key for key, value in metrics.items()
+               if value is not None and not np.isfinite(value)]
+        metrics.update(dict.fromkeys(bad))
+        write_atomic(run.path("metrics.json"), lambda fh: json.dump(metrics, fh, indent=2))
+        rng = _eval_rng(config["train"]["seed"])
+        _, x1 = task.sample_pairs(rng, 1)
+        _write_sample_paths(run, field, x1, config["eval"]["few_step_ns"])
     run.seal()
     print(json.dumps(metrics))
     if bad:
@@ -507,17 +507,18 @@ def cmd_sample(config_path, checkpoint, out=None, seed=None, n_samples=None) -> 
     n = config["eval"]["n_samples"] if n_samples is None else n_samples
     rng = _eval_rng(config["train"]["seed"])
     _, x1 = task.sample_pairs(rng, n)
-    samples = one_step_sample(field, x1)
-    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
-    if bad.size:
-        print(f"one-step sample row {bad[0]} is not finite ({bad.size} of {n} rows); "
-              "nothing written", file=sys.stderr)
-        return EXIT_NUMERICAL
-    # one row's list at a time: samples.tolist() at 4096 rows would hold
-    # 0.5 MB of float objects at once and raise the peak RSS by that much
-    write_csv(run.path("samples.csv"), [f"x{j}" for j in range(samples.shape[1])],
-              (row.tolist() for row in samples))
-    _write_sample_paths(run, field, x1, config["eval"]["few_step_ns"])
+    with _on_one_blas_thread():
+        samples = one_step_sample(field, x1)
+        bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+        if bad.size:
+            print(f"one-step sample row {bad[0]} is not finite ({bad.size} of {n} rows); "
+                  "nothing written", file=sys.stderr)
+            return EXIT_NUMERICAL
+        # one row's list at a time: samples.tolist() at 4096 rows would hold
+        # 0.5 MB of float objects at once and raise the peak RSS by that much
+        write_csv(run.path("samples.csv"), [f"x{j}" for j in range(samples.shape[1])],
+                  (row.tolist() for row in samples))
+        _write_sample_paths(run, field, x1, config["eval"]["few_step_ns"])
     run.seal()
     print(f"wrote {n} one-step samples to {out_dir}")
     return EXIT_OK
@@ -607,54 +608,6 @@ def _worker_count(raw, jobs: int, cpus: int) -> int:
     except ValueError:
         raise ConfigError("MMF_THREADS", f"expected an integer, got {raw!r}") from None
     return max(1, min(requested, jobs, cpus))
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas(name: str):
-    """The function ``openblas_<name>`` of the OpenBLAS this process has
-    loaded, or None when none is found. The lookup scans the process's
-    memory map, so its result is cached."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:  # e.g. a library replaced on disk: "<path> (deleted)"
-            continue
-        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                return fn
-    return None
-
-
-def _set_blas_threads(n: int):
-    """Set OpenBLAS's thread count to ``n``; returns the count it had, or
-    None (and changes nothing) without OpenBLAS."""
-    get_threads, set_threads = _openblas("get_num_threads"), _openblas("set_num_threads")
-    if get_threads is None or set_threads is None:
-        return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    before = get_threads()
-    set_threads(n)
-    return before
-
-
-@contextlib.contextmanager
-def _on_one_blas_thread():
-    """Train on one BLAS thread, then restore the count. At the reference
-    shape a step is faster on one thread than on two (the matmuls are too
-    small to split), and training bits do not depend on the count."""
-    before = _set_blas_threads(1)
-    try:
-        yield
-    finally:
-        if before is not None:
-            _set_blas_threads(before)
 
 
 def _pool(workers: int):

@@ -10,12 +10,17 @@ alike.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import copy
+import ctypes
+import functools
 import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field, asdict
+import threading
+from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
 
@@ -35,8 +40,10 @@ __all__ = [
 CHECKPOINT_FORMAT = "mmflow-checkpoint"
 
 # rows per block of the forward pass without tape or tangent; at the
-# reference shape its two float64 buffers take 512 KB, and 128 to 1024 rows
-# time alike on a 4096-row one-step sample
+# reference shape each row range's two float64 buffers take 512 KB, and 128
+# to 1024 rows time alike on a 4096-row one-step sample. Ranges of whole
+# blocks run on separate threads, so a block's size, and with it every
+# result bit, does not depend on how many ranges there are.
 _BLOCK_ROWS = 256
 
 
@@ -58,6 +65,8 @@ class FieldConfig:
             raise TypeError(f"zero_init_output must be a bool, got {self.zero_init_output!r}")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
             raise ValueError("hidden_widths must be non-empty positive integers")
         k = self.time_embed_dim
@@ -79,6 +88,13 @@ class FieldConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FieldConfig":
+        """The config that ``to_dict`` wrote. Every field must be present:
+        a checkpoint that lacks one raises ``KeyError`` naming it, rather
+        than loading the default, which the stored parameters were not
+        trained with."""
+        for f in fields(cls):
+            if f.name not in d:
+                raise KeyError(f.name)
         return cls(**{**d, "hidden_widths": tuple(d["hidden_widths"])})
 
 
@@ -101,6 +117,9 @@ class VelocityField:
     steps (``with_compute_dtype``). Inputs, outputs, tangents and gradients
     are float64 either way. Forward evaluation is deterministic given the
     parameters and inputs, and may run concurrently on shared parameters.
+    A sampler call of two or more ``_BLOCK_ROWS`` blocks, on one BLAS
+    thread, splits its rows over the CPUs by itself (``_infer``), with the
+    same result bits.
     """
 
     def __init__(self, config: FieldConfig, flat: np.ndarray):
@@ -158,11 +177,14 @@ class VelocityField:
         and, inside ``jvp(..., attach=True)``, ``du``. A float64 call that
         neither records nor carries a tangent, and whose ``r`` and ``t`` are
         each constant over the batch (as in the samplers), takes the blocked
-        primal pass of ``_infer``: only there does memory not grow with the
-        batch beyond the input and output, and only there does the primal
-        agree with the same MLP written in generic tape operations (the test
-        oracle) to 1e-12 relative rather than bit for bit. Every other
-        call's float64 primal is bit-for-bit that of the oracle.
+        primal pass of ``_infer``, whose ranges of whole blocks run on one
+        thread per CPU while OpenBLAS runs on one thread: only there does
+        memory not grow with the batch beyond the input and output (each
+        thread adds 512 KB at the reference shape), and only there does
+        the primal agree with the same MLP written in generic tape
+        operations (the test oracle) to 1e-12 relative rather than bit for
+        bit. Every other call's float64 primal is bit-for-bit that of the
+        oracle.
 
         The first-layer input (the embeddings are computed in float64 and
         rounded), the tangent blocks, every matmul, ``tanh`` and the
@@ -305,9 +327,15 @@ class VelocityField:
         the first-layer bias into one row ``c``, so layer 0 is
         ``x @ W0[:d] + c``. Rows then go through the MLP in blocks of
         ``_BLOCK_ROWS``. Each hidden layer writes into one of two
-        ``[block, width]`` buffers, allocated once per call, with
-        ``np.matmul(..., out=)``, an in-place bias and an in-place ``tanh``;
-        the output layer writes into the result.
+        ``[block, width]`` buffers with ``np.matmul(..., out=)``, an in-place
+        bias and an in-place ``tanh``; the output layer writes into the
+        result.
+
+        The blocks are split into ``_range_count(b)`` contiguous ranges of
+        whole blocks. The caller's thread runs the first range and a thread
+        of its own runs each other one, with its own two buffers. Every
+        block has the shape it has in one range, so the result is bit for
+        bit the same however many ranges there are.
         """
         weights = [w.data for w in self.weights]
         biases = [bias.data for bias in self.biases]
@@ -322,23 +350,30 @@ class VelocityField:
         c = emb @ weights[0][d:]
         c += biases[0]
         rows = min(b, _BLOCK_ROWS)
-        bufs = np.empty((2, rows * max(self.config.layer_sizes[1:])))
+        size = rows * max(self.config.layer_sizes[1:])
         last = len(weights) - 1
-        for lo in range(0, b, rows):
-            n = min(rows, b - lo)
-            h = x[lo:lo + n]
-            for i, (W, bias) in enumerate(zip(weights, biases)):
-                width = W.shape[1]
-                z = out[lo:lo + n] if i == last else bufs[i % 2, :n * width].reshape(n, width)
-                if i == 0:
-                    np.matmul(h, W[:d], out=z)
-                    z += c
-                else:
-                    np.matmul(h, W, out=z)
-                    z += bias
-                if i != last:
-                    np.tanh(z, out=z)
-                h = z
+
+        def run(start, stop):
+            bufs = np.empty((2, size))
+            for lo in range(start, stop, rows):
+                n = min(rows, stop - lo)
+                h = x[lo:lo + n]
+                for i, (W, bias) in enumerate(zip(weights, biases)):
+                    width = W.shape[1]
+                    z = out[lo:lo + n] if i == last else bufs[i % 2, :n * width].reshape(n, width)
+                    if i == 0:
+                        np.matmul(h, W[:d], out=z)
+                        z += c
+                    else:
+                        np.matmul(h, W, out=z)
+                        z += bias
+                    if i != last:
+                        np.tanh(z, out=z)
+                    h = z
+
+        blocks, parts = -(-b // rows), _range_count(b)
+        bounds = [min(b, rows * (blocks * i // parts)) for i in range(parts + 1)]
+        _run_ranges(run, list(zip(bounds, bounds[1:])))
         return out
 
     def _check_inputs(self, x: Tensor, r: Tensor, t: Tensor) -> int:
@@ -372,6 +407,104 @@ class VelocityField:
         out[:, 0::2] = emb[:, 1::2] * dphases
         out[:, 1::2] = -(emb[:, 0::2] * dphases)
         return out
+
+
+def _range_count(b: int) -> int:
+    """How many row ranges ``_infer`` splits ``b`` rows into: one per CPU
+    this process may run on, at most one per full block, when OpenBLAS runs
+    on one thread; else 1. Threaded BLAS already keeps the CPUs busy, and
+    splitting on top of it made a 4096-row sample 1.4-2x slower on two
+    CPUs."""
+    if _blas_threads() != 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), b // _BLOCK_ROWS))
+
+
+def _run_ranges(run, ranges):
+    """``run(*ranges[0])`` on the calling thread, and ``run(*rng)`` for
+    every other range on a thread of its own. Each thread starts in a copy
+    of the caller's context, so ``np.errstate`` holds there too. Every
+    thread is joined before this returns or raises, and the exception of
+    the first helper range that raised is re-raised here."""
+    errors = [None] * len(ranges)
+
+    def helper(i):
+        try:
+            run(*ranges[i])
+        except BaseException as err:  # re-raised on the calling thread
+            errors[i] = err
+
+    threads = []
+    try:
+        for i in range(1, len(ranges)):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper, i))
+            thread.start()
+            threads.append(thread)
+        run(*ranges[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas(name: str):
+    """The function ``openblas_<name>`` of the OpenBLAS this process has
+    loaded, or None when none is found. The lookup scans the process's
+    memory map, so its result is cached."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:  # e.g. a library replaced on disk: "<path> (deleted)"
+            continue
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _blas_threads():
+    """OpenBLAS's thread count, or None without OpenBLAS."""
+    get_threads = _openblas("get_num_threads")
+    if get_threads is None:
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads()
+
+
+def _set_blas_threads(n: int):
+    """Set OpenBLAS's thread count to ``n``; returns the count it had, or
+    None (and changes nothing) without OpenBLAS."""
+    set_threads = _openblas("set_num_threads")
+    before = _blas_threads()
+    if before is None or set_threads is None:
+        return None
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(n)
+    return before
+
+
+@contextlib.contextmanager
+def _on_one_blas_thread():
+    """Run the block on one BLAS thread, then restore the count. At the
+    reference shape a training step is faster on one thread than on two
+    (the matmuls are too small to split), inference splits its rows over
+    the CPUs itself (``_range_count``), and training and sampling give the
+    same bits at either count."""
+    before = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if before is not None:
+            _set_blas_threads(before)
 
 
 def _attached(tape, v) -> bool:

@@ -1,4 +1,3 @@
-import ctypes
 import hashlib
 import json
 import math
@@ -20,6 +19,7 @@ from mmflow.cli import (
     load_config,
     main,
 )
+from mmflow.field_model import _blas_threads, _set_blas_threads
 from mmflow.meanflow_math import HarmonicFlow, OracleField
 
 from helpers import read_csv_columns
@@ -282,12 +282,13 @@ def small_params(tensor, value):
     (json.dumps(valid_mlp_doc(config={**SMALL_FIELD, "base_frequency": True})), "config"),
     (json.dumps(valid_mlp_doc(version=99)), "version"),
     (json.dumps(mlp_doc(params=small_params(0, 10**400))), "params"),
+    (json.dumps(valid_mlp_doc(config={**SMALL_FIELD, "seed": -1})), "seed must be >= 0"),
 ], ids=["array", "nan", "config-number", "config-unknown-key", "params-number",
         "params-shape", "flow-array", "params-nan-bias", "params-infinite-weight",
         "flow-fractional-dim", "flow-string-dim", "flow-bool-dim", "flow-nested-c",
         "flow-nan-c", "flow-huge-int-c", "config-fractional-width", "config-string-width",
         "config-string-zero-init", "config-fractional-seed", "config-bool-frequency",
-        "version-99", "params-huge-int"])
+        "version-99", "params-huge-int", "config-negative-seed"])
 def test_malformed_checkpoint_exits_2_before_writing(tmp_path, capsys, text, section):
     config = smoke_config(tmp_path)
     ckpt = tmp_path / "bad.json"
@@ -298,6 +299,23 @@ def test_malformed_checkpoint_exits_2_before_writing(tmp_path, capsys, text, sec
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "checkpoint error" in err and section in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("key", sorted(SMALL_FIELD))
+def test_checkpoint_config_without_a_key_exits_2_naming_it(tmp_path, capsys, key):
+    # a missing base_frequency used to load as 1e4, and eval scored the
+    # parameters under an embedding they were not trained with
+    config = smoke_config(tmp_path)
+    stored = {k: v for k, v in SMALL_FIELD.items() if k != key}
+    ckpt = tmp_path / "partial.json"
+    ckpt.write_text(json.dumps(valid_mlp_doc(config=stored)))
+    for command in ("eval", "sample"):
+        out = tmp_path / "never"
+        assert main([command, "--config", str(config), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint error" in err and "config" in err and repr(key) in err
         assert not out.exists()
 
 
@@ -615,41 +633,65 @@ def test_worker_count_is_clamped(raw, jobs, cpus, expected):
     assert cli._worker_count(raw, jobs, cpus) == expected
 
 
-def _blas_threads():
-    get_threads = cli._openblas("get_num_threads")
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    return get_threads()
-
-
 def test_ablation_pool_workers_use_one_blas_thread():
-    if cli._openblas("get_num_threads") is None:
+    if _blas_threads() is None:
         pytest.skip("numpy is not linked against OpenBLAS here")
     with cli._pool(1) as pool:
         assert pool.submit(_blas_threads).result(timeout=60) == 1
 
 
-def test_cmd_train_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
-    get_threads, set_threads = cli._openblas("get_num_threads"), cli._openblas("set_num_threads")
-    if get_threads is None or set_threads is None:
-        pytest.skip("numpy is not linked against OpenBLAS here")
+def recording_blas_threads(monkeypatch, *names):
+    """Replace each ``cli`` function in ``names`` by one that records the
+    BLAS thread count it runs at; returns the record."""
     seen = []
-    real_train = cli.train
 
-    def recording(*args, **kwargs):
-        seen.append(_blas_threads())
-        return real_train(*args, **kwargs)
+    def recording(real):
+        def call(*args, **kwargs):
+            seen.append(_blas_threads())
+            return real(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(cli, "train", recording)
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    before = _blas_threads()
-    set_threads(2)
+    for name in names:
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    return seen
+
+
+def at_two_blas_threads(run):
+    """``run()`` with OpenBLAS at two threads; the count ``run`` left, and
+    the prior count restored."""
+    before = _set_blas_threads(2)
+    if before is None:
+        pytest.skip("numpy is not linked against OpenBLAS here")
     try:
+        run()
+        return _blas_threads()
+    finally:
+        _set_blas_threads(before)
+
+
+def test_cmd_train_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    seen = recording_blas_threads(monkeypatch, "train")
+
+    def run():
         assert cli.main(["train", "--config", str(smoke_config(tmp_path)),
                          "--out", str(tmp_path / "run")]) == 0
-        assert seen == [1]
-        assert _blas_threads() == 2
-    finally:
-        set_threads(before)
+
+    assert at_two_blas_threads(run) == 2
+    assert seen == [1]
+
+
+@pytest.mark.parametrize("command", ["eval", "sample"])
+def test_cmd_eval_and_sample_run_on_one_blas_thread_and_restore_the_count(
+        tmp_path, monkeypatch, command):
+    seen = recording_blas_threads(monkeypatch, "one_step_sample", "few_step_sample")
+    ckpt = oracle_checkpoint(tmp_path)
+
+    def run():
+        assert cli.main([command, "--config", str(smoke_config(tmp_path)),
+                         "--checkpoint", str(ckpt), "--out", str(tmp_path / "run")]) == 0
+
+    assert at_two_blas_threads(run) == 2
+    assert seen and set(seen) == {1}
 
 
 def test_final_checkpoint_is_a_byte_copy_of_the_last_periodic_one(tmp_path):

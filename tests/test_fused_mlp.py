@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmflow.autodiff as ad
+import mmflow.field_model as fm
 from mmflow.autodiff import Tape, Tensor, as_tensor, backward, jvp
 from mmflow.field_model import _BLOCK_ROWS, FieldConfig, VelocityField, init_params
 from mmflow.objectives import (
@@ -439,3 +440,101 @@ def test_sampler_memory_does_not_grow_with_width_times_rows(sample, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mb * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the blocked pass split into row ranges on threads (the session runs on one
+# BLAS thread, so every test above with two or more full blocks splits)
+
+needs_openblas = pytest.mark.skipif(fm._blas_threads() is None,
+                                    reason="numpy is not linked against OpenBLAS here")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count ``_range_count`` sees; returns the setter."""
+    def set_count(n):
+        monkeypatch.setattr(fm.os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_count
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The helper threads started during the test, counted."""
+    count = [0]
+
+    class Counted(threading.Thread):
+        def start(self):
+            count[0] += 1
+            super().start()
+
+    monkeypatch.setattr(fm.threading, "Thread", Counted)
+    return count
+
+
+def constant_time_inference(field, x):
+    b = x.shape[0]
+    return field.forward(as_tensor(x), as_tensor(np.full(b, 0.25)),
+                         as_tensor(np.full(b, 0.75))).data
+
+
+@needs_openblas
+@pytest.mark.parametrize("parts", [2, 3, 8])
+@pytest.mark.parametrize("b", [0, 1, 511, 512, 513, 3 * _BLOCK_ROWS + 7, 4096, 4097])
+def test_split_is_bitwise_one_range(b, parts, cpus, started):
+    rng = np.random.default_rng(22)
+    field = with_offsets(init_params(CFG), rng)
+    x = rng.normal(size=(b, 2))
+    cpus(1)
+    serial = constant_time_inference(field, x)
+    assert started[0] == 0
+    cpus(parts)
+    split = constant_time_inference(field, x)
+    assert started[0] == max(0, min(parts, b // _BLOCK_ROWS) - 1)
+    assert np.array_equal(split, serial)
+
+
+@needs_openblas
+@pytest.mark.parametrize("blas", ["two threads", "none found", "one cpu"])
+def test_serial_pass_starts_no_thread_and_matches_the_split(blas, cpus, started, monkeypatch):
+    rng = np.random.default_rng(23)
+    field = with_offsets(init_params(CFG), rng)
+    x = rng.normal(size=(4097, 2))
+    cpus(2)
+    split = constant_time_inference(field, x)
+    assert started[0] == 1
+    if blas == "none found":
+        monkeypatch.setattr(fm, "_openblas", lambda name: None)
+    elif blas == "one cpu":
+        cpus(1)
+    before = fm._set_blas_threads(2) if blas == "two threads" else None
+    try:
+        assert fm._range_count(4097) == 1
+        serial = constant_time_inference(field, x)
+    finally:
+        if before is not None:
+            fm._set_blas_threads(before)
+    assert started[0] == 1
+    assert np.array_equal(serial, split)
+    b = x.shape[0]
+    ref = forward_ops(field, as_tensor(x), as_tensor(np.full(b, 0.25)),
+                      as_tensor(np.full(b, 0.75))).data
+    assert rel(serial, ref) <= TOL
+
+
+@needs_openblas
+@pytest.mark.parametrize("bad", [5, 4000], ids=["first range", "last range"])
+def test_overflow_in_one_range_raises_under_errstate_and_joins_every_thread(bad, cpus):
+    # weights ×4 take the first layer of a 1e308 row beyond float64's range
+    field = VelocityField(CFG, 4.0 * with_offsets(init_params(CFG), np.random.default_rng(24))
+                          .flat_params)
+    x = np.random.default_rng(25).normal(size=(4096, 2))
+    x[bad] = 1e308
+    cpus(2)
+    threads = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        constant_time_inference(field, x)
+    assert threading.active_count() == threads
+    with np.errstate(over="ignore"):
+        u = constant_time_inference(field, x)
+    assert np.isfinite(np.delete(u, bad, axis=0)).all()

@@ -326,7 +326,7 @@ def test_logged_grad_norm_matches_independent_accumulation():
 def test_global_grad_norm_does_not_depend_on_blas_threads():
     # OpenBLAS splits a dot product longer than 10k entries across threads
     import ctypes
-    from mmflow.cli import _openblas
+    from mmflow.field_model import _openblas
 
     get_threads, set_threads = _openblas("get_num_threads"), _openblas("set_num_threads")
     if get_threads is None or set_threads is None:
