@@ -2,7 +2,9 @@
 
 Every tensor and tape value is float64. A ``Tape`` records operations
 whenever at least one input is attached to it (parameters are attached
-lazily via their ``requires_grad`` flag). Every node has one shape: a
+lazily via their ``requires_grad`` flag). The tape keeps each leaf's graph
+id itself, so a leaf recorded on several tapes, nested or on other
+threads, keeps its gradient on every one. Every node has one shape: a
 tuple of outputs and a closure mapping one adjoint per output (``None``
 for an output that got none) to one contribution per input. ``backward``
 walks the tape once in reverse and returns a gradient map. A hand-written
@@ -10,11 +12,14 @@ node (``_emit_multi``) may compute in another dtype inside, as the
 velocity MLP does in float32 while ``train`` steps it; ``Gradients`` hands
 every gradient out as float64.
 
-``jvp`` runs the same operations on dual numbers. Every op lifts to them
-through one rule, ``_lift``: the op on the primals, then its tangent rule
-in tape operations, so a caller may ask for the directional derivative to
-stay attached to the reverse graph (reverse-over-forward). By default the
-tangent is detached. A field is any callable ``u(x, r, t)``.
+Every op but ``stopgrad`` is one call of ``_op``, the one op constructor:
+value, adjoint and tangent rule in, the shape check, node and scalar
+broadcast reduction done once. ``jvp`` runs the same operations on dual
+numbers. Every op lifts to them through one rule, ``_lift``: the op on the
+primals, then its tangent rule in tape operations, so a caller may ask for
+the directional derivative to stay attached to the reverse graph
+(reverse-over-forward). By default the tangent is detached. A field is any
+callable ``u(x, r, t)``.
 
 Partial gradient stopping is a first-class citizen here: ``stopgrad``
 passes values through and blocks all adjoints; ``sg_lambda`` passes values
@@ -106,7 +111,7 @@ class Tensor:
         return self.data.size
 
     def __repr__(self):
-        tag = ", grad" if self._gid is not None else ""
+        tag = ", grad" if self.requires_grad or self._gid is not None else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
     # scaling sugar for plain-callable fields such as ``lambda x, r, t: 0.0 * x``
@@ -169,6 +174,8 @@ class Tape:
         self.nodes: list[_Node] = []
         self.consumed = False
         self._next_gid = 0
+        # id(leaf) -> (leaf, graph id); holding the leaf keeps its id from reuse
+        self._leaves: dict[int, tuple] = {}
 
     def _new_gid(self) -> int:
         gid = self._next_gid
@@ -176,11 +183,12 @@ class Tape:
         return gid
 
     def watch(self, tensor: Tensor) -> int:
-        """Attach a leaf tensor to this tape, assigning it a graph id."""
-        if tensor._tape is not self:
-            tensor._tape = self
-            tensor._gid = self._new_gid()
-        return tensor._gid
+        """The graph id of a leaf tensor on this tape, assigned on first use.
+        The id lives in the tape, not the leaf, so every tape that records a
+        leaf keeps its own."""
+        if id(tensor) not in self._leaves:
+            self._leaves[id(tensor)] = (tensor, self._new_gid())
+        return self._leaves[id(tensor)][1]
 
     def __enter__(self):
         if self.consumed:
@@ -264,10 +272,6 @@ def _emit_multi(tape: Tape, kind: str, outs: tuple, in_gids: tuple, backward_fn)
 # dual-number plumbing
 
 
-def _is_dual(x) -> bool:
-    return isinstance(x, DualTensor)
-
-
 def _unpack(x):
     """Split into (primal Tensor, tangent Tensor or None)."""
     if isinstance(x, DualTensor):
@@ -325,6 +329,39 @@ def _bilinear(op):
 
 
 # ---------------------------------------------------------------------------
+# the one op constructor
+
+
+def _op(kind, args, value_fn, grad_fn, tangent_rule, check=None):
+    """Build one op ``kind`` on ``args``; every op but ``stopgrad`` is one
+    call of this.
+
+    On a dual operand the op lifts through ``_lift`` with
+    ``tangent_rule(y, *primals, *tangents)``. Otherwise the operands are
+    coerced with ``as_tensor``, ``check(kind, *operands)`` may reject
+    their shapes, and the value ``value_fn(*arrays)`` is recorded as a
+    node whose adjoint closure returns ``grad_fn(g, *arrays, out)``, one
+    contribution per operand. A contribution to a 0-d operand that
+    broadcast against a larger one is summed back to a scalar.
+    """
+    if any(isinstance(a, DualTensor) for a in args):
+        return _lift(lambda *ps: _op(kind, ps, value_fn, grad_fn, tangent_rule, check),
+                     tangent_rule, *args)
+    ts = tuple(as_tensor(a) for a in args)
+    if check is not None:
+        check(kind, *ts)
+    arrays = tuple(t.data for t in ts)
+    out = Tensor._wrap(value_fn(*arrays))
+    od = out.data  # the closure holds arrays, never a tensor tied to the tape
+
+    def bwd(g):
+        return tuple(np.sum(c) if x.ndim == 0 and np.ndim(c) != 0 else c
+                     for x, c in zip(arrays, grad_fn(g, *arrays, od)))
+
+    return _emit(kind, out, ts, bwd)
+
+
+# ---------------------------------------------------------------------------
 # elementwise operations (exact shape match or 0-d scalar broadcast)
 
 
@@ -337,25 +374,9 @@ def _check_elementwise(kind: str, a: Tensor, b: Tensor):
     )
 
 
-def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    # adjoint of a scalar broadcast collapses back to the scalar
-    if shape == () and np.ndim(g) != 0:
-        return np.sum(g)
-    return g
-
-
 def add(a, b):
-    if _is_dual(a) or _is_dual(b):
-        return _lift(add, lambda y, ap, bp, at, bt: _plus(at, bt), a, b)
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise("add", a, b)
-    out = Tensor._wrap(a.data + b.data)
-    ash, bsh = a.shape, b.shape
-
-    def bwd(g):
-        return _reduce_to(g, ash), _reduce_to(g, bsh)
-
-    return _emit("add", out, (a, b), bwd)
+    return _op("add", (a, b), np.add, lambda g, ad, bd, od: (g, g),
+               lambda y, ap, bp, at, bt: _plus(at, bt), _check_elementwise)
 
 
 def _sub_tangent(y, ap, bp, at, bt):
@@ -367,31 +388,13 @@ def _sub_tangent(y, ap, bp, at, bt):
 
 
 def sub(a, b):
-    if _is_dual(a) or _is_dual(b):
-        return _lift(sub, _sub_tangent, a, b)
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise("sub", a, b)
-    out = Tensor._wrap(a.data - b.data)
-    ash, bsh = a.shape, b.shape
-
-    def bwd(g):
-        return _reduce_to(g, ash), _reduce_to(-g, bsh)
-
-    return _emit("sub", out, (a, b), bwd)
+    return _op("sub", (a, b), np.subtract, lambda g, ad, bd, od: (g, -g),
+               _sub_tangent, _check_elementwise)
 
 
 def mul(a, b):
-    if _is_dual(a) or _is_dual(b):
-        return _lift(mul, _bilinear(mul), a, b)
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise("mul", a, b)
-    out = Tensor._wrap(a.data * b.data)
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return _reduce_to(g * bd, ad.shape), _reduce_to(g * ad, bd.shape)
-
-    return _emit("mul", out, (a, b), bwd)
+    return _op("mul", (a, b), np.multiply, lambda g, ad, bd, od: (g * bd, g * ad),
+               _bilinear(mul), _check_elementwise)
 
 
 def _div_tangent(y, ap, bp, at, bt):
@@ -402,120 +405,75 @@ def _div_tangent(y, ap, bp, at, bt):
 
 
 def div(a, b):
-    if _is_dual(a) or _is_dual(b):
-        return _lift(div, _div_tangent, a, b)
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise("div", a, b)
-    out = Tensor._wrap(a.data / b.data)
-    ad, bd, od = a.data, b.data, out.data
-
-    def bwd(g):
-        return _reduce_to(g / bd, ad.shape), _reduce_to(-g * od / bd, bd.shape)
-
-    return _emit("div", out, (a, b), bwd)
-
-
-def _unary(kind, a, value_fn, grad_fn, tangent_fn):
-    """An elementwise op: ``value_fn(x)``, adjoint ``grad_fn(g, x, y)`` and
-    tangent rule ``tangent_fn(y, ap, at)``."""
-    if _is_dual(a):
-        return _lift(lambda ap: _unary(kind, ap, value_fn, grad_fn, tangent_fn),
-                     tangent_fn, a)
-    a = as_tensor(a)
-    out = Tensor._wrap(value_fn(a.data))
-    ad, od = a.data, out.data
-
-    def bwd(g):
-        return (grad_fn(g, ad, od),)
-
-    return _emit(kind, out, (a,), bwd)
+    return _op("div", (a, b), np.divide, lambda g, ad, bd, od: (g / bd, -g * od / bd),
+               _div_tangent, _check_elementwise)
 
 
 def neg(a):
-    return _unary("neg", a, lambda x: -x, lambda g, x, y: -g,
-                  lambda y, ap, at: neg(at))
+    return _op("neg", (a,), np.negative, lambda g, x, y: (-g,),
+               lambda y, ap, at: neg(at))
 
 
 def square(a):
-    return _unary("square", a, np.square, lambda g, x, y: 2.0 * x * g,
-                  lambda y, ap, at: mul(mul(2.0, ap), at))
+    return _op("square", (a,), np.square, lambda g, x, y: (2.0 * x * g,),
+               lambda y, ap, at: mul(mul(2.0, ap), at))
 
 
 def tanh(a):
-    return _unary("tanh", a, np.tanh, lambda g, x, y: (1.0 - y * y) * g,
-                  lambda y, ap, at: mul(sub(1.0, square(y)), at))
+    return _op("tanh", (a,), np.tanh, lambda g, x, y: ((1.0 - y * y) * g,),
+               lambda y, ap, at: mul(sub(1.0, square(y)), at))
 
 
 # ---------------------------------------------------------------------------
 # structural operations
 
 
-def matmul(a, b):
-    if _is_dual(a) or _is_dual(b):
-        return _lift(matmul, _bilinear(matmul), a, b)
-    a, b = as_tensor(a), as_tensor(b)
+def _check_matmul(kind: str, a: Tensor, b: Tensor):
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeMismatchError(
-            f"matmul: expects 2-d operands, got shapes {a.shape} and {b.shape}"
+            f"{kind}: expects 2-d operands, got shapes {a.shape} and {b.shape}"
         )
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(
-            f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}"
+            f"{kind}: inner dimensions disagree for shapes {a.shape} and {b.shape}"
         )
-    out = Tensor._wrap(a.data @ b.data)
-    ad, bd = a.data, b.data
 
-    def bwd(g):
-        return g @ bd.T, ad.T @ g
 
-    return _emit("matmul", out, (a, b), bwd)
+def matmul(a, b):
+    return _op("matmul", (a, b), np.matmul, lambda g, ad, bd, od: (g @ bd.T, ad.T @ g),
+               _bilinear(matmul), _check_matmul)
 
 
 def sum_all(a):
     """Sum every element down to a 0-d scalar."""
-    if _is_dual(a):
-        return _lift(sum_all, lambda y, ap, at: sum_all(at), a)
-    a = as_tensor(a)
-    out = Tensor._wrap(np.sum(a.data))
-    shape = a.shape
+    return _op("sum_all", (a,), np.sum, lambda g, x, y: (np.full(x.shape, g),),
+               lambda y, ap, at: sum_all(at))
 
-    def bwd(g):
-        return (np.full(shape, g),)
 
-    return _emit("sum_all", out, (a,), bwd)
+def _check_vector(kind: str, v: Tensor):
+    if v.ndim != 1:
+        raise ShapeMismatchError(f"{kind}: expects a 1-d vector, got shape {v.shape}")
 
 
 def expand_rows(v, m: int):
     """Repeat a 1-d vector as m identical rows; adjoint sums over rows."""
-    if _is_dual(v):
-        return _lift(lambda vp: expand_rows(vp, m), lambda y, vp, vt: expand_rows(vt, m), v)
-    v = as_tensor(v)
-    if v.ndim != 1:
-        raise ShapeMismatchError(f"expand_rows: expects a 1-d vector, got shape {v.shape}")
-    out = Tensor._wrap(np.broadcast_to(v.data, (m, v.shape[0])))
+    return _op("expand_rows", (v,), lambda x: np.broadcast_to(x, (m, x.shape[0])),
+               lambda g, x, y: (g.sum(axis=0),),
+               lambda y, vp, vt: expand_rows(vt, m), _check_vector)
 
-    def bwd(g):
-        return (g.sum(axis=0),)
 
-    return _emit("expand_rows", out, (v,), bwd)
+def _check_rows(kind: str, a: Tensor, s: Tensor):
+    if a.ndim != 2 or s.ndim != 1 or a.shape[0] != s.shape[0]:
+        raise ShapeMismatchError(
+            f"{kind}: expects shapes [m, n] and [m], got {a.shape} and {s.shape}"
+        )
 
 
 def scale_rows(a, s):
     """Multiply each row of a [m, n] tensor by the matching entry of s [m]."""
-    if _is_dual(a) or _is_dual(s):
-        return _lift(scale_rows, _bilinear(scale_rows), a, s)
-    a, s = as_tensor(a), as_tensor(s)
-    if a.ndim != 2 or s.ndim != 1 or a.shape[0] != s.shape[0]:
-        raise ShapeMismatchError(
-            f"scale_rows: expects shapes [m, n] and [m], got {a.shape} and {s.shape}"
-        )
-    out = Tensor._wrap(a.data * s.data[:, None])
-    ad, sd = a.data, s.data
-
-    def bwd(g):
-        return g * sd[:, None], np.sum(g * ad, axis=1)
-
-    return _emit("scale_rows", out, (a, s), bwd)
+    return _op("scale_rows", (a, s), lambda ad, sd: ad * sd[:, None],
+               lambda g, ad, sd, od: (g * sd[:, None], np.sum(g * ad, axis=1)),
+               _bilinear(scale_rows), _check_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +482,7 @@ def scale_rows(a, s):
 
 def stopgrad(z):
     """Identity on values; blocks every adjoint into z's ancestors."""
-    if _is_dual(z):
+    if isinstance(z, DualTensor):
         return _lift(stopgrad, lambda y, zp, zt: None, z)
     z = as_tensor(z)
     # a detached twin sharing the same array; it carries no graph id
@@ -544,19 +502,9 @@ def sg_lambda(z, lam: float):
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"sg_lambda: modulation factor {lam} outside [0, 1]")
-    if _is_dual(z):
-        return _lift(lambda zp: sg_lambda(zp, lam), lambda y, zp, zt: mul(lam, zt), z)
-    z = as_tensor(z)
-    out = Tensor._wrap(z.data)
-
-    def bwd(g):
-        if lam == 0.0:
-            return (None,)
-        if lam == 1.0:
-            return (g,)
-        return (g * lam,)
-
-    return _emit("sg_lambda", out, (z,), bwd)
+    return _op("sg_lambda", (z,), lambda x: x,
+               lambda g, x, y: (None if lam == 0.0 else g if lam == 1.0 else g * lam,),
+               lambda y, zp, zt: mul(lam, zt))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +526,8 @@ class Gradients:
     def _raw(self, tensor: Tensor):
         if tensor._tape is self._tape:
             return self._by_gid.get(tensor._gid)
-        return None
+        leaf = self._tape._leaves.get(id(tensor))
+        return None if leaf is None else self._by_gid.get(leaf[1])
 
     def wrt(self, tensor: Tensor) -> np.ndarray:
         """Gradient for a tensor; zeros when it never entered the graph."""
@@ -624,8 +573,7 @@ def backward(loss: Tensor) -> Gradients:
             prev = grads.get(gid)
             grads[gid] = c if prev is None else prev + c
     # a consumed tape never runs its closures again; drop them and the
-    # activations they hold now rather than when the garbage collector
-    # breaks the tape <-> leaf reference cycle
+    # activations they hold now rather than when the tape itself is freed
     for node in tape.nodes:
         node.backward_fn = None
     # anything left belongs to leaves (constants never acquire ids)

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "mmflow-checkpoint"
+CHECKPOINT_VERSION = 1
 
 # rows per block of the forward pass without tape or tangent; at the
 # reference shape each row range's two float64 buffers take 512 KB, and 128
@@ -563,7 +564,7 @@ def _state_dict(field: VelocityField) -> dict:
         params.append({"shape": list(p.shape), "data": p.data.reshape(-1).tolist()})
     return {
         "format": CHECKPOINT_FORMAT,
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "kind": "mlp",
         "config": field.config.to_dict(),
         "params": params,
@@ -653,9 +654,9 @@ def load_checkpoint(path):
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a recognized checkpoint file: {path}")
-    version = doc.get("version", 1)
-    if type(version) is not int or version != 1:
-        raise ValueError(f"checkpoint version: expected 1, got {version!r}")
+    version = doc.get("version", CHECKPOINT_VERSION)
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint version: expected {CHECKPOINT_VERSION}, got {version!r}")
     kind = doc.get("kind", "mlp")
     if kind == "mlp":
         config = _load_section("config", FieldConfig.from_dict, doc.get("config"))

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import as_tensor, jvp
+from .field_model import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
 
 __all__ = [
     "AnalyticFlow",
@@ -145,9 +146,9 @@ def _expm1_ratio_slope(g: np.ndarray) -> np.ndarray:
 def _expm1_ratio(g):
     """Tape op for expm1(g) / g, exact at and near g = 0. Its slope enters
     forward mode as a constant, so the op is differentiable once."""
-    return ad._unary(
-        "expm1_ratio", g, _expm1_ratio_value,
-        lambda grad, x, y: grad * _expm1_ratio_slope(x),
+    return ad._op(
+        "expm1_ratio", (g,), _expm1_ratio_value,
+        lambda grad, x, y: (grad * _expm1_ratio_slope(x),),
         lambda y, gp, gt: ad.mul(as_tensor(_expm1_ratio_slope(gp.data)), gt),
     )
 
@@ -291,8 +292,8 @@ class OracleField:
 
     def to_dict(self) -> dict:
         return {
-            "format": "mmflow-checkpoint",
-            "version": 1,
+            "format": CHECKPOINT_FORMAT,
+            "version": CHECKPOINT_VERSION,
             "kind": "analytic_oracle",
             "flow": self.flow.to_dict(),
         }
