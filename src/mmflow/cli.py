@@ -405,22 +405,16 @@ def _load_field(checkpoint, task):
 
 
 def _path_metrics(field, task, pairs, n_steps: int):
-    """Per-sample few-step paths against each pair's ground-truth path."""
+    """Mean over the samples of their few-step paths' deviation from the
+    pairs' ground-truth paths, and of their smoothness."""
     x0, x1 = pairs
     paths = few_step_sample(field, x1, n_steps)
-    d_vals, s_vals = [], []
-    for i in range(paths.n_samples):
-        path = paths.path(i)
-        if n_steps >= 2:
-            s_vals.append(smoothness(path))
-        try:
-            ref = task.reference_path(SamplePair(x0=x0[i], x1=x1[i]), grid_len=257)
-            d_vals.append(path_deviation(path, ref))
-        except NoReferencePathError:
-            pass
-    d_path = float(np.mean(d_vals)) if d_vals else None
-    smooth = float(np.mean(s_vals)) if s_vals else None
-    return d_path, smooth
+    smooth = float(np.mean(smoothness(paths))) if n_steps >= 2 else None
+    try:
+        ref = task.reference_path(SamplePair(x0=x0, x1=x1), grid_len=257)
+    except NoReferencePathError:
+        return None, smooth
+    return float(np.mean(path_deviation(paths, ref))), smooth
 
 
 def _evaluate_field(field, task, eval_cfg: dict, seed: int):
@@ -443,8 +437,11 @@ def _evaluate_field(field, task, eval_cfg: dict, seed: int):
 
 def _write_sample_paths(run, field, x1, few_step_ns):
     """Per ``n`` in ``few_step_ns``, the n-step path of ``x1[0]`` as ``sample_path_n{n}.csv``."""
+    header = ["t"] + [f"x{j}" for j in range(x1.shape[1])]
     for n in few_step_ns:
-        few_step_sample(field, x1[:1], n).path(0).write_csv(run.path(f"sample_path_n{n}.csv"))
+        paths = few_step_sample(field, x1[:1], n)
+        rows = zip(paths.times.tolist(), paths.states[:, 0].tolist())
+        write_csv(run.path(f"sample_path_n{n}.csv"), header, ([t, *row] for t, row in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,8 @@ class FieldConfig:
         f = self.base_frequency
         if isinstance(f, bool) or not (math.isfinite(f) and f > 0):
             raise ValueError(f"base_frequency must be finite and positive, got {f!r}")
+        # np.geomspace cannot take a Python int beyond int64
+        object.__setattr__(self, "base_frequency", float(f))
 
     @property
     def layer_sizes(self) -> list:

@@ -176,7 +176,8 @@ def flow_from_dict(d: dict) -> AnalyticFlow:
 
 @dataclass
 class ReferencePath:
-    """States sampled on a strictly increasing time grid in [0, 1]."""
+    """States sampled on a strictly increasing time grid in [0, 1], indexed
+    [node, dim] for one path or [node, sample, dim] for a batch of them."""
 
     times: np.ndarray
     states: np.ndarray
@@ -191,20 +192,18 @@ class ReferencePath:
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("path times must be strictly increasing")
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
     def state_at(self, t) -> np.ndarray:
-        """Linear interpolation in t; t may be scalar or array."""
+        """Linear interpolation in t, one ``np.interp`` per state column; t
+        may be scalar or array, and leads the shape of the result."""
         t = np.asarray(t, dtype=np.float64)
         lo, hi = self.times[0], self.times[-1]
         if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
             raise ValueError(
                 f"query times outside the covered span [{lo}, {hi}]"
             )
-        cols = [np.interp(t, self.times, self.states[:, j]) for j in range(self.dim)]
-        return np.stack(cols, axis=-1)
+        flat = self.states.reshape(self.times.shape[0], -1)
+        cols = [np.interp(t, self.times, flat[:, j]) for j in range(flat.shape[1])]
+        return np.stack(cols, axis=-1).reshape(*t.shape, *self.states.shape[1:])
 
 
 def _rk4_step(v_fn, x, ti, h):
@@ -353,7 +352,8 @@ def limit_slope(u_eval, flow: AnalyticFlow, x, r):
 
     Returns (errors, slope) where errors[i] is the mean deviation norm at
     the gap ``_LIMIT_GAPS[i]`` and slope is the fitted log-log rate (1.0
-    for a clean first-order approach).
+    for a clean first-order approach). When every error is 0 (an exact
+    field), the error falls faster than any power of the gap: slope is inf.
     """
     x, r_arr, _ = _promote(x, r, r)
     v = flow.velocity(x, r_arr)
@@ -361,5 +361,7 @@ def limit_slope(u_eval, flow: AnalyticFlow, x, r):
     for eps in _LIMIT_GAPS:
         u = u_eval(as_tensor(x), as_tensor(r_arr), as_tensor(r_arr + eps)).data
         errors.append(float(np.mean(np.linalg.norm(u - v, axis=1))))
+    if not any(errors):
+        return np.array(errors), math.inf
     slope = float(np.polyfit(np.log(np.asarray(_LIMIT_GAPS)), np.log(np.asarray(errors)), 1)[0])
     return np.array(errors), slope

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import as_tensor
-from .field_model import write_csv
 
 __all__ = [
-    "SamplePath",
     "SamplePathSet",
     "one_step_sample",
     "few_step_sample",
@@ -27,8 +25,9 @@ __all__ = [
 
 
 @dataclass
-class SamplePath:
-    """A single generation trajectory on a descending grid from 1 to 0."""
+class SamplePathSet:
+    """Sampled trajectories on a descending grid from t=1 to t=0, states
+    indexed [node, sample, dim]."""
 
     times: np.ndarray
     states: np.ndarray
@@ -44,31 +43,11 @@ class SamplePath:
             raise ValueError("one state row per time node required")
 
     @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    def write_csv(self, path):
-        write_csv(path, ["t"] + [f"x{j}" for j in range(self.dim)],
-                  ([t, *row] for t, row in zip(self.times.tolist(), self.states.tolist())))
-
-
-@dataclass
-class SamplePathSet:
-    """Trajectories for a whole batch: states indexed [node, sample, dim]."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def endpoints(self) -> np.ndarray:
         return self.states[-1]
 
-    def path(self, i: int) -> SamplePath:
-        return SamplePath(times=self.times.copy(), states=self.states[:, i, :].copy())
+    def path(self, i: int) -> SamplePathSet:
+        return SamplePathSet(times=self.times.copy(), states=self.states[:, i:i + 1].copy())
 
 
 def one_step_sample(field, x1) -> np.ndarray:
@@ -99,29 +78,32 @@ def few_step_sample(field, x1, n_steps: int) -> SamplePathSet:
     return SamplePathSet(times=times, states=states)
 
 
-def path_deviation(path: SamplePath, reference) -> float:
-    """Mean squared distance to the reference state at matching times.
-
-    The reference is linearly interpolated in t and must span the path.
+def path_deviation(paths, reference) -> np.ndarray:
+    """Per sample, the mean squared distance to the reference state at
+    matching times. The reference is linearly interpolated in t, must span
+    the path and holds one path for all samples or one per sample. Each
+    sample's terms are reduced as one contiguous row, so its value is bit
+    for bit the one it gives alone.
     """
-    ref_states = reference.state_at(path.times)
-    diff = path.states - ref_states
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    nodes, dim = paths.states.shape[0], paths.states.shape[-1]
+    ref_states = reference.state_at(paths.times).reshape(nodes, -1, dim)
+    diff = np.ascontiguousarray(np.moveaxis(paths.states - ref_states, 1, 0))
+    return np.mean(np.sum(diff * diff, axis=-1), axis=-1)
 
 
-def smoothness(path) -> float:
-    """Mean squared second difference normalized by the squared mean step.
+def smoothness(paths) -> np.ndarray:
+    """Per sample, the mean squared second difference normalized by the
+    squared mean step, reduced as in ``path_deviation``.
 
     Zero exactly on straight-line trajectories; grows with discrete
     curvature. Needs at least three nodes.
     """
-    states = np.asarray(path.states, dtype=np.float64)
-    times = np.asarray(path.times, dtype=np.float64)
-    if states.shape[0] < 3:
+    if paths.times.shape[0] < 3:
         raise ValueError("smoothness needs a path with at least 3 nodes")
-    second = states[2:] - 2.0 * states[1:-1] + states[:-2]
-    mean_step = float(np.mean(np.abs(np.diff(times))))
-    return float(np.mean(np.sum(second * second, axis=1)) / mean_step**2)
+    states = np.ascontiguousarray(np.moveaxis(paths.states, 0, -2))  # [sample, node, dim]
+    second = states[..., 2:, :] - 2.0 * states[..., 1:-1, :] + states[..., :-2, :]
+    mean_step = float(np.mean(np.abs(np.diff(paths.times))))
+    return np.mean(np.sum(second * second, axis=-1), axis=-1) / mean_step**2
 
 
 def one_step_mse(field, task, n_samples: int, rng) -> float:

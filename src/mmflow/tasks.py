@@ -30,6 +30,8 @@ class NoReferencePathError(ValueError):
 
 @dataclass
 class SamplePair:
+    """One sample's endpoints ([dim]) or a batch's ([sample, dim])."""
+
     x0: np.ndarray  # data endpoint (time 0)
     x1: np.ndarray  # prior endpoint (time 1)
 
@@ -94,7 +96,7 @@ class OdeHarmonicTask:
         if grid_len < 2:
             raise ValueError("grid_len must be >= 2")
         taus = np.linspace(0.0, 1.0, grid_len)
-        states = np.asarray(pair.x0)[None, :] * np.exp(-taus)[:, None]
+        states = np.multiply.outer(np.exp(-taus), np.asarray(pair.x0))
         return ReferencePath(times=taus, states=states)
 
 
@@ -128,7 +130,7 @@ class PointMassTask:
         taus = np.linspace(0.0, 1.0, grid_len)
         x0 = np.asarray(pair.x0)
         x1 = np.asarray(pair.x1)
-        states = x0[None, :] + taus[:, None] * (x1 - x0)[None, :]
+        states = x0 + np.multiply.outer(taus, x1 - x0)
         return ReferencePath(times=taus, states=states)
 
 

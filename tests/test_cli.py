@@ -283,12 +283,13 @@ def small_params(tensor, value):
     (json.dumps(valid_mlp_doc(version=99)), "version"),
     (json.dumps(mlp_doc(params=small_params(0, 10**400))), "params"),
     (json.dumps(valid_mlp_doc(config={**SMALL_FIELD, "seed": -1})), "seed must be >= 0"),
+    (json.dumps(valid_mlp_doc(config={**SMALL_FIELD, "base_frequency": 10**400})), "config"),
 ], ids=["array", "nan", "config-number", "config-unknown-key", "params-number",
         "params-shape", "flow-array", "params-nan-bias", "params-infinite-weight",
         "flow-fractional-dim", "flow-string-dim", "flow-bool-dim", "flow-nested-c",
         "flow-nan-c", "flow-huge-int-c", "config-fractional-width", "config-string-width",
         "config-string-zero-init", "config-fractional-seed", "config-bool-frequency",
-        "version-99", "params-huge-int", "config-negative-seed"])
+        "version-99", "params-huge-int", "config-negative-seed", "config-huge-int-frequency"])
 def test_malformed_checkpoint_exits_2_before_writing(tmp_path, capsys, text, section):
     config = smoke_config(tmp_path)
     ckpt = tmp_path / "bad.json"
@@ -300,6 +301,24 @@ def test_malformed_checkpoint_exits_2_before_writing(tmp_path, capsys, text, sec
         err = capsys.readouterr().err
         assert "checkpoint error" in err and section in err
         assert not out.exists()
+
+
+def test_integer_base_frequency_in_a_checkpoint_loads_as_its_float(tmp_path):
+    # an integer beyond int64 used to pass the config check and then fail in
+    # np.geomspace, so both commands exited 1 with a traceback
+    config = smoke_config(tmp_path)
+    written = {}
+    for name, freq in (("int", 2**70), ("float", float(2**70))):
+        ckpt = tmp_path / f"{name}.json"
+        ckpt.write_text(json.dumps(valid_mlp_doc(config={**SMALL_FIELD, "base_frequency": freq})))
+        for command in ("eval", "sample"):
+            out = tmp_path / name / command
+            assert main([command, "--config", str(config), "--checkpoint", str(ckpt),
+                         "--out", str(out)]) == 0
+            written[name, command] = {f: (out / f).read_bytes() for f in os.listdir(out)
+                                      if f != "run_manifest.json"}
+    for command in ("eval", "sample"):
+        assert written["int", command] == written["float", command]
 
 
 @pytest.mark.parametrize("key", sorted(SMALL_FIELD))

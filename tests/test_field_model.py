@@ -62,6 +62,13 @@ def test_field_config_rejects_a_bad_embedding(key, value):
         FieldConfig(input_dim=1, **{key: value})
 
 
+@pytest.mark.parametrize("freq", [20, 2**70], ids=["small", "beyond-int64"])
+def test_field_config_stores_an_integer_base_frequency_as_a_float(freq):
+    config = FieldConfig(input_dim=1, time_embed_dim=4, base_frequency=freq)
+    assert type(config.base_frequency) is float and config.base_frequency == float(freq)
+    assert embedding_field(4, base_frequency=freq)._freqs[-1] == float(freq)
+
+
 def test_embedding_deterministic():
     field = embedding_field(16, base_frequency=100.0)
     assert np.array_equal(embed(field, 0.37), embed(field, 0.37))

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from mmflow.autodiff import as_tensor, jvp
 from mmflow.meanflow_math import (
     ConstantFlow,
     HarmonicFlow,
+    OracleField,
     ReferencePath,
     average_velocity_field,
     average_velocity_oracle,
@@ -318,3 +322,17 @@ def test_limit_slope_is_linear_in_gap():
     errors, slope = limit_slope(average_velocity_field(flow), flow, x, r)
     assert np.all(np.diff(errors) < 0)
     assert abs(slope - 1.0) < 0.1
+
+
+def test_limit_slope_of_an_exact_field_is_infinite():
+    # every error is 0: the fit would take log(0) and return nan with a
+    # divide-by-zero warning
+    flow = ConstantFlow([0.5, -1.0])
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(16, 2))
+    r = rng.uniform(0.0, 0.9, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors, slope = limit_slope(OracleField(flow), flow, x, r)
+    assert errors.tolist() == [0.0, 0.0, 0.0]
+    assert slope == math.inf

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mmflow.autodiff as ad
+from mmflow import cli
 from mmflow.meanflow_math import (
     HarmonicFlow,
     ConstantFlow,
@@ -13,7 +14,7 @@ from mmflow.meanflow_math import (
     rk4_solve,
 )
 from mmflow.sampler_eval import (
-    SamplePath,
+    SamplePathSet,
     energy_distance,
     few_step_sample,
     one_step_mse,
@@ -21,7 +22,8 @@ from mmflow.sampler_eval import (
     path_deviation,
     smoothness,
 )
-from mmflow.tasks import OdeHarmonicTask
+from mmflow.field_model import FieldConfig, init_params
+from mmflow.tasks import OdeHarmonicTask, PointMassTask, SamplePair
 
 from helpers import EvalCounter
 
@@ -119,17 +121,23 @@ def test_euler_lifted_instantaneous_field_converges_monotonically():
 # path containers and metrics
 
 
+def _one_path(times, states):
+    """A set of one sample: ``states`` [node, dim] become [node, 1, dim]."""
+    return SamplePathSet(times=times, states=np.asarray(states, dtype=np.float64)[:, None, :])
+
+
 def test_sample_path_validation():
     with pytest.raises(ValueError):
-        SamplePath(times=np.array([0.5, 0.0]), states=np.zeros((2, 1)))
+        _one_path(np.array([0.5, 0.0]), np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        SamplePath(times=np.array([1.0, 0.5, 0.5, 0.0]), states=np.zeros((4, 1)))
+        _one_path(np.array([1.0, 0.5, 0.5, 0.0]), np.zeros((4, 1)))
 
 
 def test_sample_path_csv(tmp_path):
-    path = SamplePath(times=np.array([1.0, 0.5, 0.0]), states=np.arange(6.0).reshape(3, 2))
-    f = tmp_path / "path.csv"
-    path.write_csv(f)
+    # the writer of ``mmf eval``/``mmf sample``: a 2-step path has 3 rows
+    cli._write_sample_paths(cli._Run(str(tmp_path), {}), zero_field,
+                            np.arange(2.0).reshape(1, 2), [2])
+    f = tmp_path / "sample_path_n2.csv"
     lines = f.read_text().splitlines()
     assert lines[0] == "t,x0,x1"
     assert len(lines) == 4
@@ -138,17 +146,17 @@ def test_sample_path_csv(tmp_path):
 def test_path_deviation_zero_against_itself():
     times = np.linspace(1.0, 0.0, 9)
     states = np.exp(-times)[:, None]
-    path = SamplePath(times=times, states=states)
+    path = _one_path(times, states)
     ref = ReferencePath(times=times[::-1].copy(), states=states[::-1].copy())
-    assert path_deviation(path, ref) == 0.0
+    assert path_deviation(path, ref).tolist() == [0.0]
 
 
 def test_path_deviation_constant_offset():
     times = np.linspace(1.0, 0.0, 5)
     base = np.stack([times, 2 * times], axis=1)
-    path = SamplePath(times=times, states=base + np.array([0.3, -0.4]))
+    path = _one_path(times, base + np.array([0.3, -0.4]))
     ref = ReferencePath(times=times[::-1].copy(), states=base[::-1].copy())
-    assert path_deviation(path, ref) == pytest.approx(0.3**2 + 0.4**2)
+    assert path_deviation(path, ref) == pytest.approx([0.3**2 + 0.4**2])
 
 
 def test_path_deviation_oracle_path_vs_rk4_reference():
@@ -161,7 +169,7 @@ def test_path_deviation_oracle_path_vs_rk4_reference():
 
 
 def test_path_deviation_rejects_uncovered_reference():
-    path = SamplePath(times=np.array([1.0, 0.0]), states=np.zeros((2, 1)))
+    path = _one_path(np.array([1.0, 0.0]), np.zeros((2, 1)))
     ref = ReferencePath(times=np.array([0.2, 0.8]), states=np.zeros((2, 1)))
     with pytest.raises(ValueError):
         path_deviation(path, ref)
@@ -170,16 +178,15 @@ def test_path_deviation_rejects_uncovered_reference():
 def test_smoothness_straight_line_is_zero():
     times = np.array([1.0, 0.75, 0.5, 0.25, 0.0])  # dyadic: exact arithmetic
     states = np.stack([3 * times - 1, -times], axis=1)
-    assert smoothness(SamplePath(times=times, states=states)) == 0.0
+    assert smoothness(_one_path(times, states)).tolist() == [0.0]
 
 
 def test_smoothness_zig_scales_quadratically():
     def zig(h):
         # unit-spaced grid with a single spike of height h
         return smoothness(
-            SamplePath(times=np.array([1.0, 0.5, 0.0]),
-                       states=np.array([[0.0], [h], [0.0]]))
-        )
+            _one_path(np.array([1.0, 0.5, 0.0]), np.array([[0.0], [h], [0.0]]))
+        )[0]
 
     assert zig(2.0) / zig(1.0) == pytest.approx(4.0)
     assert zig(4.0) / zig(2.0) == pytest.approx(4.0)
@@ -188,7 +195,7 @@ def test_smoothness_zig_scales_quadratically():
 def test_smoothness_exponential_path_shrinks_with_refinement():
     def value(n):
         times = np.linspace(1.0, 0.0, n + 1)
-        return smoothness(SamplePath(times=times, states=np.exp(-times)[:, None]))
+        return smoothness(_one_path(times, np.exp(-times)[:, None]))[0]
 
     coarse, fine = value(8), value(64)
     assert 0 < fine < coarse
@@ -196,7 +203,35 @@ def test_smoothness_exponential_path_shrinks_with_refinement():
 
 def test_smoothness_needs_three_nodes():
     with pytest.raises(ValueError):
-        smoothness(SamplePath(times=np.array([1.0, 0.0]), states=np.zeros((2, 1))))
+        smoothness(_one_path(np.array([1.0, 0.0]), np.zeros((2, 1))))
+
+
+SMALL_FIELD = init_params(FieldConfig(input_dim=2, hidden_widths=(16, 16), time_embed_dim=8,
+                                      base_frequency=20.0, seed=3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("task", [OdeHarmonicTask(dim=2, seed=0), PointMassTask(seed=0)],
+                         ids=["decay", "point_mass"])
+@pytest.mark.parametrize("field", [SMALL_FIELD, zero_field], ids=["small_field", "zero_field"])
+def test_batched_path_metrics_equal_one_sample_at_a_time(field, task, n):
+    x0, x1 = task.sample_pairs(np.random.default_rng(n), 32)
+    paths = few_step_sample(field, x1, n)
+    batch_ref = task.reference_path(SamplePair(x0=x0, x1=x1), grid_len=257)
+    refs = [task.reference_path(SamplePair(x0=x0[i], x1=x1[i]), grid_len=257)
+            for i in range(32)]
+    deviation = path_deviation(paths, batch_ref).tolist()
+    assert deviation == [path_deviation(paths.path(i), refs[i])[0] for i in range(32)]
+    # the per-sample formula on [node, dim] arrays
+    alone = [paths.states[:, i] - refs[i].state_at(paths.times) for i in range(32)]
+    assert deviation == [float(np.mean(np.sum(d * d, axis=1))) for d in alone]
+    if n >= 2:
+        smooth = smoothness(paths).tolist()
+        assert smooth == [smoothness(paths.path(i))[0] for i in range(32)]
+        step = float(np.mean(np.abs(np.diff(paths.times))))
+        second = [paths.states[2:, i] - 2.0 * paths.states[1:-1, i] + paths.states[:-2, i]
+                  for i in range(32)]
+        assert smooth == [float(np.mean(np.sum(s * s, axis=1))) / step**2 for s in second]
 
 
 # ---------------------------------------------------------------------------
