@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import datetime
+import functools
 import hashlib
 import inspect
 import json
@@ -27,6 +28,8 @@ from .autodiff import as_tensor
 from .field_model import (
     FieldConfig,
     VelocityField,
+    _check_seed,
+    _check_size,
     _on_one_blas_thread,
     _set_blas_threads,
     init_params,
@@ -43,14 +46,7 @@ from .meanflow_math import (
     identity_residual,
     limit_slope,
 )
-from .objectives import (
-    MIN_GAP_CEILING,
-    MIN_GAP_FLOOR,
-    ConstantSchedule,
-    TimePairConfig,
-    WarmupSchedule,
-    schedule_from_dict,
-)
+from .objectives import ConstantSchedule, TimePairConfig, WarmupSchedule
 from .sampler_eval import (
     energy_distance,
     few_step_sample,
@@ -65,7 +61,6 @@ from .tasks import (
     OdeHarmonicTask,
     PointMassTask,
     SamplePair,
-    task_from_dict,
 )
 from .trainer import TrainConfig, loss_variance, train
 
@@ -97,24 +92,31 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config schema
 #
-# One table entry per section (and per task or schedule kind) maps each key
-# to its JSON type and range check. A missing key takes the keyword default
-# of the constructor the section feeds, so no default is written twice; only
-# ``eval`` and ``diagnose`` feed no constructor and list their own.
+# One table entry per section (and per task or schedule kind) names the
+# constructor the section feeds and the JSON type of each key. A missing key
+# takes the constructor's keyword default, so no default is written twice,
+# and every value rule is the constructor's: canonicalization builds each
+# section once, and a value its constructor rejects is a ConfigError at the
+# section, the message led by the key. ``eval`` and ``diagnose`` feed no
+# library object; their constructors below only hold their rules.
 
 _JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
 
-_POSITIVE = ("must be positive", lambda v: v > 0)
-_NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0)  # also every seed: SeedSequence needs it
-_UNIT = ("must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+
+def _eval(n_samples: int = 1024, few_step_ns=(1, 2, 4, 8)) -> None:
+    _check_size("n_samples", n_samples)
+    for n in few_step_ns:
+        _check_size("few_step_ns", n)
 
 
-def _one_of(*choices):
-    return (f"expected one of {'|'.join(choices)}", lambda v: v in choices)
+def _diagnose(seed: int = 0) -> None:
+    _check_seed(seed)
 
 
+@functools.cache  # inspect.signature takes most of a canonicalization
 def _defaults(make) -> dict:
-    """Keyword defaults of a constructor, tuples as JSON arrays."""
+    """Keyword defaults of a constructor, tuples as JSON arrays; callers
+    copy the dict and never mutate it."""
     return {name: list(p.default) if isinstance(p.default, tuple) else p.default
             for name, p in inspect.signature(make).parameters.items()
             if p.default is not p.empty}
@@ -122,64 +124,45 @@ def _defaults(make) -> dict:
 
 _SCHEMA = {
     "task": {
-        "ode_harmonic": (_defaults(OdeHarmonicTask), {
-            "dim": (int, _POSITIVE),
-            "endpoint_noise_std": (float, _NON_NEGATIVE),
-            "seed": (int, _NON_NEGATIVE),
-        }),
-        "gmm2d": (_defaults(Gmm2dTask), {
-            "components": (int, _POSITIVE),
-            "ring_radius": (float, _NON_NEGATIVE),
-            "component_std": (float, _NON_NEGATIVE),
-            "seed": (int, _NON_NEGATIVE),
-        }),
-        "point_mass": (_defaults(PointMassTask), {
-            "target_mean": ([float], ("expected a 2-vector", lambda m: len(m) == 2)),
-            "target_std": (float, _NON_NEGATIVE),
-            "seed": (int, _NON_NEGATIVE),
-        }),
+        "ode_harmonic": (OdeHarmonicTask, {"dim": int, "endpoint_noise_std": float,
+                                           "seed": int}),
+        "gmm2d": (Gmm2dTask, {"components": int, "ring_radius": float,
+                              "component_std": float, "seed": int}),
+        "point_mass": (PointMassTask, {"target_mean": [float], "target_std": float,
+                                       "seed": int}),
     },
-    "field": (_defaults(FieldConfig), {
-        "input_dim": (int, _POSITIVE),
-        "hidden_widths": ([int], ("must be positive", lambda ws: min(ws) > 0)),
-        "time_embed_dim": (int, ("must be positive and even", lambda d: d > 0 and d % 2 == 0)),
-        "base_frequency": (float, _POSITIVE),
-        "seed": (int, _NON_NEGATIVE),
-        "zero_init_output": (bool, None),
-    }),
-    "train": (_defaults(TrainConfig), {
-        "total_steps": (int, _POSITIVE),
-        "batch_size": (int, _POSITIVE),
-        "lr0": (float, _POSITIVE),
-        "seed": (int, _NON_NEGATIVE),
-        "checkpoint_every": (int, _NON_NEGATIVE),
-        "log_every": (int, _POSITIVE),
-        "grad_clip": ((float, None), _POSITIVE),
-        "interpolation": (str, _one_of("interval_ratio", "absolute_time")),
-        "target_norm": (str, _one_of("sampled_gap", "pair_span")),
-    }),
+    "field": (FieldConfig, {"input_dim": int, "hidden_widths": [int], "time_embed_dim": int,
+                            "base_frequency": float, "seed": int, "zero_init_output": bool}),
+    "train": (TrainConfig, {"total_steps": int, "batch_size": int, "lr0": float, "seed": int,
+                            "checkpoint_every": int, "log_every": int,
+                            "grad_clip": (float, None), "interpolation": str,
+                            "target_norm": str}),
     "schedule": {
-        "constant": (_defaults(ConstantSchedule), {"value": (float, _UNIT)}),
-        "warmup": (_defaults(WarmupSchedule), {"t_warmup": (int, _POSITIVE)}),
+        "constant": (ConstantSchedule, {"value": float}),
+        "warmup": (WarmupSchedule, {"t_warmup": int}),
     },
-    "time_pairs": (_defaults(TimePairConfig), {
-        "min_gap": (float, (f"must lie in [{MIN_GAP_FLOOR}, {MIN_GAP_CEILING}]",
-                            lambda g: MIN_GAP_FLOOR <= g <= MIN_GAP_CEILING)),
-        "r_zero_prob": (float, _UNIT),
-    }),
-    "eval": ({"n_samples": 1024, "few_step_ns": [1, 2, 4, 8]}, {
-        "n_samples": (int, _POSITIVE),
-        "few_step_ns": ([int], ("must be >= 1", lambda ns: min(ns) >= 1)),
-    }),
-    "diagnose": ({"samples": 1000, "seed": 0, "identity_tol": 1e-5,
-                  "consistency_tol": 1e-5, "slope_tol": 0.1}, {
-        "samples": (int, _POSITIVE),
-        "seed": (int, _NON_NEGATIVE),
-        "identity_tol": (float, _POSITIVE),
-        "consistency_tol": (float, _POSITIVE),
-        "slope_tol": (float, _POSITIVE),
-    }),
+    "time_pairs": (TimePairConfig, {"min_gap": float, "r_zero_prob": float}),
+    "eval": (_eval, {"n_samples": int, "few_step_ns": [int]}),
+    "diagnose": (_diagnose, {"seed": int}),
 }
+
+
+def _checked(path: str, make, kwargs: dict):
+    """``make(**kwargs)``; a ``ValueError``, ``TypeError`` or ``OverflowError``
+    it raises becomes a ``ConfigError`` at ``path``."""
+    try:
+        return make(**kwargs)
+    except (ValueError, TypeError, OverflowError) as err:
+        raise ConfigError(path, str(err)) from None
+
+
+def _make(section: str, values: dict, **objects):
+    """What the canonical section ``values`` describes, built by the
+    constructor its schema entry names, with ``objects`` as extra keywords."""
+    spec, kwargs = _SCHEMA[section], dict(values)
+    if isinstance(spec, dict):
+        spec = spec[kwargs.pop("kind")]
+    return _checked(section, spec[0], {**kwargs, **objects})
 
 
 def _convert(value, kind, path: str):
@@ -211,8 +194,9 @@ def _convert(value, kind, path: str):
 
 
 def _section(doc, path: str, **extra_defaults) -> dict:
-    """Check one config section against ``_SCHEMA[path]``; returns it with
-    every default filled in, ``extra_defaults`` taking precedence."""
+    """Check one config section's JSON types against ``_SCHEMA[path]``;
+    returns it with every default filled in, ``extra_defaults`` taking
+    precedence."""
     if not isinstance(doc, dict):
         raise ConfigError(path, f"expected an object, got {doc!r}")
     spec, out = _SCHEMA[path], {}
@@ -222,19 +206,16 @@ def _section(doc, path: str, **extra_defaults) -> dict:
             raise ConfigError(f"{path}.kind", f"expected one of {'|'.join(spec)}, got {kind!r}")
         spec, out = spec[kind], {"kind": kind}
         doc = {k: v for k, v in doc.items() if k != "kind"}
-    defaults, keys = spec
-    defaults = {**defaults, **extra_defaults}
+    make, keys = spec
+    defaults = {**_defaults(make), **extra_defaults}
     unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
-    for key, (kind, check) in keys.items():
+    for key, kind in keys.items():
         where = f"{path}.{key}"
         if key not in doc and key not in defaults:
             raise ConfigError(where, "missing required key")
-        value = _convert(doc[key] if key in doc else defaults[key], kind, where)
-        if check is not None and value is not None and not check[1](value):
-            raise ConfigError(where, f"{check[0]}, got {value!r}")
-        out[key] = value
+        out[key] = _convert(doc[key] if key in doc else defaults[key], kind, where)
     return out
 
 
@@ -253,19 +234,19 @@ def canonicalize(doc: dict) -> dict:
     if "task" not in doc:
         raise ConfigError("task", "missing required section")
     out = {"task": _section(doc["task"], "task")}
-    dim = task_from_dict(out["task"]).dim
+    dim = _make("task", out["task"]).dim
     out["field"] = _section(doc.get("field", {}), "field", input_dim=dim)
     if out["field"]["input_dim"] != dim:
         raise ConfigError("field.input_dim",
                           f"{out['field']['input_dim']} does not match the task dimension {dim}")
-    trn = out["train"] = _section(doc.get("train", {}), "train")
-    if trn["log_every"] > trn["total_steps"]:
-        raise ConfigError("train.log_every", "must not exceed train.total_steps")
+    out["train"] = _section(doc.get("train", {}), "train")
     schedule = doc.get("schedule")
-    out["schedule"] = (_default_schedule(trn["total_steps"]) if schedule is None
+    out["schedule"] = (_default_schedule(out["train"]["total_steps"]) if schedule is None
                        else _section(schedule, "schedule"))
     for name in ("time_pairs", "eval", "diagnose"):
         out[name] = _section(doc.get(name, {}), name)
+    for name in ("field", "train", "schedule", "time_pairs", "eval", "diagnose"):
+        _make(name, out[name])
     out["eval"]["few_step_ns"] = sorted(set(out["eval"]["few_step_ns"]))
     out["output_dir"] = doc.get("output_dir")
     if out["output_dir"] is not None and not isinstance(out["output_dir"], str):
@@ -296,11 +277,11 @@ def config_hash(canonical: dict) -> str:
 
 
 def _build(config: dict):
-    task = task_from_dict(config["task"])
-    field = init_params(FieldConfig(**config["field"]))
-    train_cfg = TrainConfig(**config["train"], task=task,
-                            schedule=schedule_from_dict(config["schedule"]),
-                            time_pairs=TimePairConfig(**config["time_pairs"]))
+    task = _make("task", config["task"])
+    field = init_params(_make("field", config["field"]))
+    train_cfg = _make("train", config["train"], task=task,
+                      schedule=_make("schedule", config["schedule"]),
+                      time_pairs=_make("time_pairs", config["time_pairs"]))
     return task, field, train_cfg
 
 
@@ -354,12 +335,10 @@ def _train_into(run: _Run, config: dict):
 
 
 def _override_seed(config: dict, seed):
-    """Apply a ``--seed`` flag to ``train.seed`` under the schema's range check."""
-    if seed is None:
-        return
-    if seed < 0:
-        raise ConfigError("--seed", f"must be >= 0, got {seed}")
-    config["train"]["seed"] = int(seed)
+    """Apply a ``--seed`` flag to ``train.seed`` under the seed rule."""
+    if seed is not None:
+        _checked("--seed", _check_seed, {"seed": seed})
+        config["train"]["seed"] = int(seed)
 
 
 def _resolve_out(config: dict, out) -> str:
@@ -460,14 +439,14 @@ def cmd_train(config_path, out=None, seed=None) -> int:
               file=sys.stderr)
         return EXIT_NUMERICAL
     print(f"trained {config['train']['total_steps']} steps; final loss "
-          f"{result.log.losses[-1]:.6g}" if len(result.log) else "trained 0 steps")
+          f"{result.log.losses[-1]:.6g}")
     return EXIT_OK
 
 
 def cmd_eval(config_path, checkpoint, out=None) -> int:
     config = load_config(config_path)
     out_dir = _resolve_out(config, out)
-    task = task_from_dict(config["task"])
+    task = _make("task", config["task"])
     field = _load_field(checkpoint, task)
     if field is None:
         return EXIT_CONFIG
@@ -491,12 +470,12 @@ def cmd_eval(config_path, checkpoint, out=None) -> int:
 
 
 def cmd_sample(config_path, checkpoint, out=None, seed=None, n_samples=None) -> int:
-    if n_samples is not None and n_samples < 1:
-        raise ConfigError("--n-samples", f"must be positive, got {n_samples}")
+    if n_samples is not None:
+        _checked("--n-samples", _eval, {"n_samples": n_samples})
     config = load_config(config_path)
     _override_seed(config, seed)
     out_dir = _resolve_out(config, out)
-    task = task_from_dict(config["task"])
+    task = _make("task", config["task"])
     field = _load_field(checkpoint, task)
     if field is None:
         return EXIT_CONFIG
@@ -522,13 +501,11 @@ def cmd_sample(config_path, checkpoint, out=None, seed=None, n_samples=None) -> 
 
 
 def cmd_diagnose(config_path=None) -> int:
-    """Run the oracle residual suite against its tolerances."""
-    if config_path is not None:
-        diag = load_config(config_path)["diagnose"]
-    else:
-        diag = _section({}, "diagnose")
+    """Run the oracle residual suite against its fixed tolerances."""
+    diag = (_section({}, "diagnose") if config_path is None
+            else load_config(config_path)["diagnose"])
     rng = np.random.default_rng(diag["seed"])
-    n = diag["samples"]
+    n = 1000
 
     def sample_rt(b, min_gap=1e-3):
         r = rng.uniform(0.0, 1.0 - 2 * min_gap, b)
@@ -549,21 +526,20 @@ def cmd_diagnose(config_path=None) -> int:
     x = rng.standard_normal((n, 2))
     r, t = sample_rt(n)
     res = identity_residual(oracle, harmonic, x, r, t)
-    checks.append(("identity_harmonic", float(np.max(np.abs(res))), diag["identity_tol"]))
+    checks.append(("identity_harmonic", float(np.max(np.abs(res))), 1e-5))
 
     res = identity_residual(average_velocity_field(constant), constant, x, r, t)
-    checks.append(("identity_constant", float(np.max(np.abs(res))), diag["identity_tol"]))
+    checks.append(("identity_constant", float(np.max(np.abs(res))), 1e-5))
 
     x = rng.standard_normal((n, 2))
     r, s, t = sample_rst(n)
     res = consistency_residual(oracle, x, r, s, t)
-    checks.append(("consistency_harmonic", float(np.max(np.abs(res))),
-                   diag["consistency_tol"]))
+    checks.append(("consistency_harmonic", float(np.max(np.abs(res))), 1e-5))
 
     x = rng.standard_normal((64, 2))
     r = rng.uniform(0.0, 0.9, 64)
     _, slope = limit_slope(oracle, harmonic, x, r)
-    checks.append(("limit_slope_deviation", abs(slope - 1.0), diag["slope_tol"]))
+    checks.append(("limit_slope_deviation", abs(slope - 1.0), 0.1))
 
     # the Simpson rule is the independent reference for the closed form
     x = rng.standard_normal((64, 2))

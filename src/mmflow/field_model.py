@@ -28,6 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 __all__ = [
+    "MAX_SIZE",
     "FieldConfig",
     "VelocityField",
     "init_params",
@@ -47,6 +48,11 @@ CHECKPOINT_VERSION = 1
 # result bit, does not depend on how many ranges there are.
 _BLOCK_ROWS = 256
 
+# the largest array extent (a dimension, width, sample or step count) a
+# config or flag may ask for: 16x the largest desk-scale run, and small
+# enough that numpy accepts every shape built from it
+MAX_SIZE = 1 << 16
+
 
 @dataclass(frozen=True)
 class FieldConfig:
@@ -64,15 +70,16 @@ class FieldConfig:
                            tuple(_integer("hidden_widths", w) for w in self.hidden_widths))
         if not isinstance(self.zero_init_output, bool):
             raise TypeError(f"zero_init_output must be a bool, got {self.zero_init_output!r}")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
-            raise ValueError("hidden_widths must be non-empty positive integers")
+        _check_size("input_dim", self.input_dim)
+        _check_seed(self.seed)
+        if not self.hidden_widths:
+            raise ValueError("hidden_widths must be non-empty")
+        for w in self.hidden_widths:
+            _check_size("hidden_widths", w)
         k = self.time_embed_dim
-        if k < 2 or k % 2 != 0:
-            raise ValueError(f"time_embed_dim must be even and >= 2, got {k}")
+        _check_size("time_embed_dim", k)
+        if k % 2:
+            raise ValueError(f"time_embed_dim must be even, got {k}")
         f = self.base_frequency
         if isinstance(f, bool) or not (math.isfinite(f) and f > 0):
             raise ValueError(f"base_frequency must be finite and positive, got {f!r}")
@@ -99,6 +106,17 @@ class FieldConfig:
             if f.name not in d:
                 raise KeyError(f.name)
         return cls(**{**d, "hidden_widths": tuple(d["hidden_widths"])})
+
+
+def _check_size(name: str, value: int) -> None:
+    """Raise ``ValueError`` unless the array extent ``value`` lies in [1, ``MAX_SIZE``]."""
+    if not 1 <= value <= MAX_SIZE:
+        raise ValueError(f"{name} must lie in [1, {MAX_SIZE}], got {value}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # np.random.SeedSequence needs it
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _integer(name: str, value) -> int:

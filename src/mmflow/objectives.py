@@ -30,7 +30,6 @@ __all__ = [
     "TrainingBatch",
     "ConstantSchedule",
     "WarmupSchedule",
-    "schedule_from_dict",
     "sample_time_pairs",
     "target_velocity",
     "build_batch",
@@ -56,7 +55,7 @@ class TimePairConfig:
             raise ValueError(f"min_gap must lie in [{MIN_GAP_FLOOR}, {MIN_GAP_CEILING}], "
                              f"got {self.min_gap}")
         if not 0.0 <= self.r_zero_prob <= 1.0:
-            raise ValueError("r_zero_prob must lie in [0, 1]")
+            raise ValueError(f"r_zero_prob must lie in [0, 1], got {self.r_zero_prob}")
 
 
 @dataclass
@@ -90,7 +89,7 @@ class ConstantSchedule:
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
-            raise ValueError("constant modulation value must lie in [0, 1]")
+            raise ValueError(f"value must lie in [0, 1], got {self.value}")
 
     def at(self, step: int) -> float:
         return self.value
@@ -104,19 +103,10 @@ class WarmupSchedule:
 
     def __post_init__(self):
         if self.t_warmup < 1:
-            raise ValueError("t_warmup must be a positive integer")
+            raise ValueError(f"t_warmup must be >= 1, got {self.t_warmup}")
 
     def at(self, step: int) -> float:
         return min(1.0, step / self.t_warmup)
-
-
-def schedule_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "constant":
-        return ConstantSchedule(float(d["value"]))
-    if kind == "warmup":
-        return WarmupSchedule(int(d["t_warmup"]))
-    raise ValueError(f"unknown schedule kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .field_model import _check_seed, _check_size
 from .meanflow_math import ReferencePath
 
 __all__ = [
@@ -20,7 +21,6 @@ __all__ = [
     "OdeHarmonicTask",
     "PointMassTask",
     "NoReferencePathError",
-    "task_from_dict",
 ]
 
 
@@ -41,10 +41,12 @@ class Gmm2dTask:
 
     def __init__(self, components: int = 8, ring_radius: float = 4.0,
                  component_std: float = 0.3, seed: int = 0):
-        if components < 1:
-            raise ValueError("components must be >= 1")
-        if component_std < 0 or ring_radius < 0:
-            raise ValueError("ring_radius and component_std must be >= 0")
+        _check_size("components", components)
+        if ring_radius < 0:
+            raise ValueError(f"ring_radius must be >= 0, got {ring_radius}")
+        if component_std < 0:
+            raise ValueError(f"component_std must be >= 0, got {component_std}")
+        _check_seed(seed)
         self.components = int(components)
         self.ring_radius = float(ring_radius)
         self.component_std = float(component_std)
@@ -74,10 +76,10 @@ class OdeHarmonicTask:
     """
 
     def __init__(self, dim: int = 2, endpoint_noise_std: float = 0.01, seed: int = 0):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        _check_size("dim", dim)
         if endpoint_noise_std < 0:
-            raise ValueError("endpoint_noise_std must be >= 0")
+            raise ValueError(f"endpoint_noise_std must be >= 0, got {endpoint_noise_std}")
+        _check_seed(seed)
         self._dim = int(dim)
         self.endpoint_noise_std = float(endpoint_noise_std)
         self.seed = int(seed)
@@ -106,9 +108,10 @@ class PointMassTask:
     def __init__(self, target_mean=(3.0, 0.0), target_std: float = 0.25, seed: int = 0):
         mean = np.asarray(target_mean, dtype=np.float64).reshape(-1)
         if mean.shape[0] != 2:
-            raise ValueError("the point-mass task is 2D")
+            raise ValueError(f"target_mean must be a 2-vector, got {mean.tolist()!r}")
         if target_std < 0:
-            raise ValueError("target_std must be >= 0")
+            raise ValueError(f"target_std must be >= 0, got {target_std}")
+        _check_seed(seed)
         self.target_mean = mean
         self.target_std = float(target_std)
         self.seed = int(seed)
@@ -133,15 +136,3 @@ class PointMassTask:
         states = x0 + np.multiply.outer(taus, x1 - x0)
         return ReferencePath(times=taus, states=states)
 
-
-def task_from_dict(d: dict):
-    kinds = {
-        "gmm2d": Gmm2dTask,
-        "ode_harmonic": OdeHarmonicTask,
-        "point_mass": PointMassTask,
-    }
-    kind = d.get("kind")
-    if kind not in kinds:
-        raise ValueError(f"unknown task kind: {kind!r}")
-    kwargs = {k: v for k, v in d.items() if k != "kind"}
-    return kinds[kind](**kwargs)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .autodiff import Tape, backward
-from .field_model import save_checkpoint, write_atomic, write_csv
+from .field_model import _check_seed, _check_size, save_checkpoint, write_atomic, write_csv
 from .objectives import (
     TimePairConfig,
     build_batch,
@@ -75,20 +75,24 @@ class TrainConfig:
     target_norm: str = "sampled_gap"
 
     def __post_init__(self):
-        if self.total_steps < 0:
-            raise ValueError("total_steps must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if self.total_steps < 1:
+            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
+        _check_size("batch_size", self.batch_size)
         if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
-        if self.total_steps and self.log_every > self.total_steps:
-            raise ValueError("log_every must not exceed total_steps")
+            raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        _check_seed(self.seed)
+        if not 1 <= self.log_every <= self.total_steps:
+            raise ValueError(f"log_every must lie in [1, total_steps = {self.total_steps}], "
+                             f"got {self.log_every}")
         if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive when set")
+            raise ValueError(f"grad_clip must be positive when set, got {self.grad_clip}")
+        for key, choices in (("interpolation", ("interval_ratio", "absolute_time")),
+                             ("target_norm", ("sampled_gap", "pair_span"))):
+            if getattr(self, key) not in choices:
+                raise ValueError(f"{key} must be one of {'|'.join(choices)}, "
+                                 f"got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -313,7 +317,7 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
         if every and (step + 1) % every == 0:
             write_ckpt(step + 1)
 
-    if config.total_steps and out_dir is not None:
+    if out_dir is not None:
         if every and config.total_steps % every == 0:
             # the last periodic checkpoint already holds the final parameters;
             # its JSON is one ASCII line, so a text copy is a byte copy

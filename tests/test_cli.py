@@ -74,7 +74,8 @@ def test_negative_lr_names_field_path(tmp_path):
     doc["train"]["lr0"] = -1.0
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, doc))
-    assert "train.lr0" in str(err.value)
+    assert err.value.path == "train"
+    assert str(err.value).startswith("train: lr0 ")
 
 
 def test_field_dimension_must_match_task(tmp_path):
@@ -138,7 +139,7 @@ def test_cmd_train_invalid_config_exits_2(tmp_path, capsys):
     doc["train"]["lr0"] = -0.5
     path = write_config(tmp_path, doc)
     assert main(["train", "--config", str(path)]) == 2
-    assert "train.lr0" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("config error: train: lr0 ")
 
 
 def test_cmd_train_rerun_bitwise_identical(tmp_path):
@@ -472,8 +473,36 @@ def test_negative_config_seed_exits_2(tmp_path, capsys):
     config = smoke_config(tmp_path, field={"hidden_widths": [8, 8], "time_embed_dim": 4,
                                            "base_frequency": 10.0, "seed": -1})
     assert main(["train", "--config", str(config)]) == 2
-    assert "field.seed" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("config error: field: seed ")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("task", "dim", 2**70),
+    ("task", "components", 2**70),
+    ("field", "hidden_widths", [8, 2**70]),
+    ("field", "time_embed_dim", 2**70),
+    ("train", "batch_size", 2**70),
+    ("eval", "n_samples", 2**70),
+    ("eval", "few_step_ns", [2**70]),
+    (None, "--n-samples", 2**70),
+])
+def test_a_size_beyond_the_bound_exits_2_before_writing(tmp_path, capsys, section, key, value):
+    doc = json.loads(smoke_config(tmp_path).read_text())
+    if key == "components":
+        doc["task"] = {"kind": "gmm2d"}
+    if section is not None:
+        doc[section][key] = value
+    config = write_config(tmp_path, doc)
+    ckpt = oracle_checkpoint(tmp_path)
+    before = _tree(tmp_path)
+    command = "train" if section else "sample"
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "never")]
+    argv += [] if section else ["--checkpoint", str(ckpt), key, str(value)]
+    assert main(argv) == 2
+    named = f"{section}: {key} " if section else f"{key}: n_samples "
+    assert capsys.readouterr().err.startswith("config error: " + named)
+    assert _tree(tmp_path) == before
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +529,16 @@ def test_cmd_diagnose_sign_error_detected(capsys, monkeypatch):
     assert "identity_harmonic" in captured.err
 
 
-def test_cmd_diagnose_echoes_config_tolerances(tmp_path, capsys):
-    config = smoke_config(tmp_path, diagnose={
-        "samples": 50, "seed": 3, "identity_tol": 2e-5,
-        "consistency_tol": 3e-5, "slope_tol": 0.2,
-    })
+def test_cmd_diagnose_takes_only_a_seed(tmp_path, capsys):
+    config = smoke_config(tmp_path, diagnose={"seed": 3})
     assert cmd_diagnose(str(config)) == 0
-    out = capsys.readouterr().out
-    assert "2.0e-05" in out and "3.0e-05" in out
+    seeded = capsys.readouterr().out
+    assert cmd_diagnose() == 0
+    assert seeded != capsys.readouterr().out
+    config = smoke_config(tmp_path, diagnose={"seed": 3, "identity_tol": 2e-5})
+    with pytest.raises(ConfigError) as err:
+        cmd_diagnose(str(config))
+    assert err.value.path == "diagnose.identity_tol"
 
 
 # ---------------------------------------------------------------------------
@@ -528,16 +559,15 @@ def test_cmd_ablation_four_rows_and_schedules(tmp_path):
         "lambda0", "lambda05", "lambda1", "curriculum"
     ]
     # each sub-run's logged modulation column matches its declared schedule
-    from mmflow.objectives import schedule_from_dict
+    from mmflow.objectives import ConstantSchedule, WarmupSchedule
 
-    for name, sched in [
-        ("lambda0", {"kind": "constant", "value": 0.0}),
-        ("lambda05", {"kind": "constant", "value": 0.5}),
-        ("lambda1", {"kind": "constant", "value": 1.0}),
-        ("curriculum", {"kind": "warmup", "t_warmup": 8}),
+    for name, schedule in [
+        ("lambda0", ConstantSchedule(0.0)),
+        ("lambda05", ConstantSchedule(0.5)),
+        ("lambda1", ConstantSchedule(1.0)),
+        ("curriculum", WarmupSchedule(8)),
     ]:
         log = read_csv_columns(out / name / "trainlog.csv")
-        schedule = schedule_from_dict(sched)
         assert all(
             lam == schedule.at(step) for step, lam in zip(log["step"], log["lambda"])
         )

@@ -1,20 +1,28 @@
-"""Pins of the config schema: canonical hashes of the shipped configs and the
-``ConfigError.path`` each kind of invalid document is rejected with."""
+"""Pins of the config schema: canonical hashes of the shipped configs, the
+``ConfigError.path`` each kind of invalid document is rejected with, the
+schema's agreement with its constructors, and the exit-code contract under
+generated values."""
 
 import copy
+import inspect
+import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mmflow.cli import ConfigError, canonicalize, config_hash, load_config
+import mmflow.cli as cli
+from mmflow.cli import ConfigError, canonicalize, config_hash, load_config, main
+from mmflow.field_model import MAX_SIZE
+from mmflow.trainer import TrainConfig
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("decay.json", "1af0ce2b854600f6574ae19fb4f131ec760526d9450103069879f14fd8cf613f"),
-    ("point_mass.json", "3e29258d62bddcbbe0f9c849107f4f133bd11d28dd2e6eb9d51d4466532b2b17"),
-    ("ring_mixture.json", "80be265a7c46b1ca456f0c203fdb96be3ff3e88e1f1e06f42e3f0ba39ba29336"),
+    ("decay.json", "930c41534adebfcb95715425ba6bfea8d85867048e96a378c74ae1538b1fd85d"),
+    ("point_mass.json", "788581e4c7901186b283ec3ada9d71137340da1aaf033950ba6799fe68cf89ca"),
+    ("ring_mixture.json", "71787e66f6179bcb76b5575c777f6886a911c9836d3f6cc7fb5d15ebc71c1edc"),
 ])
 def test_shipped_config_hash_is_pinned(name, digest):
     assert config_hash(load_config(os.path.join(CONFIGS, name))) == digest
@@ -30,8 +38,7 @@ BASE = {
     "schedule": {"kind": "warmup", "t_warmup": 10},
     "time_pairs": {"min_gap": 0.01, "r_zero_prob": 0.5},
     "eval": {"n_samples": 16, "few_step_ns": [1, 4]},
-    "diagnose": {"samples": 10, "seed": 0, "identity_tol": 1e-5,
-                 "consistency_tol": 1e-5, "slope_tol": 0.1},
+    "diagnose": {"seed": 0},
     "output_dir": "runs/x",
 }
 GMM = {"kind": "gmm2d", "components": 4, "ring_radius": 2.0, "component_std": 0.1, "seed": 0}
@@ -57,6 +64,7 @@ def doc_with(section, value, key=None, base=None):
 
 @pytest.mark.parametrize("section, value", [
     ("task", BASE["task"]), ("task", GMM), ("task", POINT), ("schedule", CONSTANT),
+    ("eval", {"n_samples": MAX_SIZE, "few_step_ns": [1, MAX_SIZE]}),
 ])
 def test_base_documents_are_valid(section, value):
     canonicalize(doc_with(section, value))
@@ -64,6 +72,12 @@ def test_base_documents_are_valid(section, value):
 
 def _key(section, key, value, base=None):
     return doc_with(section, value, key=key, base=base)
+
+
+def _rule(section, key, value, base=None):
+    """A case whose value the section's constructor rejects: the error is at
+    the section, and its message leads with the key."""
+    return _key(section, key, value, base), section, key
 
 
 INVALID = [
@@ -74,21 +88,21 @@ INVALID = [
     (doc_with("output_dir", 3), "output_dir"),
     # task: ode_harmonic
     (_key("task", "dim", "2"), "task.dim"),
-    (_key("task", "dim", 0), "task.dim"),
-    (_key("task", "endpoint_noise_std", -0.1), "task.endpoint_noise_std"),
+    _rule("task", "dim", 0),
+    _rule("task", "endpoint_noise_std", -0.1),
     (_key("task", "seed", 1.5), "task.seed"),
     (_key("task", "components", 8), "task.components"),
     # task: gmm2d
     (_key("task", "components", 2.5, GMM), "task.components"),
-    (_key("task", "components", 0, GMM), "task.components"),
-    (_key("task", "ring_radius", -1.0, GMM), "task.ring_radius"),
+    _rule("task", "components", 0, GMM),
+    _rule("task", "ring_radius", -1.0, GMM),
     (_key("task", "component_std", "wide", GMM), "task.component_std"),
     (_key("task", "dim", 2, GMM), "task.dim"),
     # task: point_mass
     (_key("task", "target_mean", "origin", POINT), "task.target_mean"),
-    (_key("task", "target_mean", [1.0, 2.0, 3.0], POINT), "task.target_mean"),
+    _rule("task", "target_mean", [1.0, 2.0, 3.0], POINT),
     (_key("task", "target_mean", [1.0, True], POINT), "task.target_mean"),
-    (_key("task", "target_std", -0.5, POINT), "task.target_std"),
+    _rule("task", "target_std", -0.5, POINT),
     (_key("task", "ring_radius", 1.0, POINT), "task.ring_radius"),
     # task kind
     (_key("task", "kind", "spiral"), "task.kind"),
@@ -96,36 +110,36 @@ INVALID = [
     # field
     (_key("field", "hidden_widths", "8,8"), "field.hidden_widths"),
     (_key("field", "hidden_widths", []), "field.hidden_widths"),
-    (_key("field", "hidden_widths", [8, 0]), "field.hidden_widths"),
+    _rule("field", "hidden_widths", [8, 0]),
     (_key("field", "time_embed_dim", 2.0), "field.time_embed_dim"),
-    (_key("field", "time_embed_dim", 0), "field.time_embed_dim"),
-    (_key("field", "time_embed_dim", 5), "field.time_embed_dim"),
+    _rule("field", "time_embed_dim", 0),
+    _rule("field", "time_embed_dim", 5),
     (_key("field", "input_dim", 3), "field.input_dim"),
-    (_key("field", "base_frequency", 0.0), "field.base_frequency"),
+    _rule("field", "base_frequency", 0.0),
     (_key("field", "zero_init_output", 1), "field.zero_init_output"),
     (_key("field", "seed", True), "field.seed"),
     (_key("field", "depth", 3), "field.depth"),
     # train
     (_key("train", "total_steps", "100"), "train.total_steps"),
-    (_key("train", "total_steps", 0), "train.total_steps"),
-    (_key("train", "total_steps", 5), "train.log_every"),
-    (_key("train", "batch_size", 0), "train.batch_size"),
-    (_key("train", "lr0", -1e-3), "train.lr0"),
+    _rule("train", "total_steps", 0),
+    (_key("train", "total_steps", 5), "train", "log_every"),
+    _rule("train", "batch_size", 0),
+    _rule("train", "lr0", -1e-3),
     (_key("train", "lr0", None), "train.lr0"),
-    (_key("train", "checkpoint_every", -1), "train.checkpoint_every"),
-    (_key("train", "log_every", 0), "train.log_every"),
-    (_key("train", "grad_clip", 0.0), "train.grad_clip"),
+    _rule("train", "checkpoint_every", -1),
+    _rule("train", "log_every", 0),
+    _rule("train", "grad_clip", 0.0),
     (_key("train", "grad_clip", True), "train.grad_clip"),
-    (_key("train", "interpolation", "linear"), "train.interpolation"),
+    _rule("train", "interpolation", "linear"),
     (_key("train", "target_norm", 1), "train.target_norm"),
     (_key("train", "learning_rate", 0.1), "train.learning_rate"),
     # schedule: constant
-    (_key("schedule", "value", 1.5, CONSTANT), "schedule.value"),
+    _rule("schedule", "value", 1.5, CONSTANT),
     (_key("schedule", "value", "half", CONSTANT), "schedule.value"),
     (doc_with("schedule", {"kind": "constant"}), "schedule.value"),
     (_key("schedule", "t_warmup", 10, CONSTANT), "schedule.t_warmup"),
     # schedule: warmup
-    (_key("schedule", "t_warmup", 0), "schedule.t_warmup"),
+    _rule("schedule", "t_warmup", 0),
     (_key("schedule", "t_warmup", 2.5), "schedule.t_warmup"),
     (doc_with("schedule", {"kind": "warmup"}), "schedule.t_warmup"),
     (_key("schedule", "value", 0.5), "schedule.value"),
@@ -134,19 +148,19 @@ INVALID = [
     (doc_with("schedule", {}), "schedule.kind"),
     # time_pairs
     (_key("time_pairs", "min_gap", "small"), "time_pairs.min_gap"),
-    (_key("time_pairs", "min_gap", 1e-4), "time_pairs.min_gap"),
-    (_key("time_pairs", "min_gap", 1.0), "time_pairs.min_gap"),
-    (_key("time_pairs", "r_zero_prob", 1.5), "time_pairs.r_zero_prob"),
-    (_key("time_pairs", "r_zero_prob", -0.5), "time_pairs.r_zero_prob"),
+    _rule("time_pairs", "min_gap", 1e-4),
+    _rule("time_pairs", "min_gap", 1.0),
+    _rule("time_pairs", "r_zero_prob", 1.5),
+    _rule("time_pairs", "r_zero_prob", -0.5),
     (_key("time_pairs", "max_gap", 0.5), "time_pairs.max_gap"),
     # eval
     (_key("eval", "n_samples", 1.5), "eval.n_samples"),
-    (_key("eval", "n_samples", 0), "eval.n_samples"),
+    _rule("eval", "n_samples", 0),
     (_key("eval", "few_step_ns", 4), "eval.few_step_ns"),
     (_key("eval", "few_step_ns", []), "eval.few_step_ns"),
-    (_key("eval", "few_step_ns", [0, 1]), "eval.few_step_ns"),
+    _rule("eval", "few_step_ns", [0, 1]),
     (_key("eval", "batch", 8), "eval.batch"),
-    # diagnose
+    # diagnose: its only key is seed, so each former tolerance key is unknown
     (_key("diagnose", "samples", "10"), "diagnose.samples"),
     (_key("diagnose", "samples", 0), "diagnose.samples"),
     (_key("diagnose", "seed", 0.5), "diagnose.seed"),
@@ -165,9 +179,9 @@ NON_OBJECT = [
 ]
 
 
-# Python's json module reads NaN, Infinity and -Infinity. At a scalar key NaN
-# fails every range check, but Infinity passes every "> 0" and ">= 0" check
-# and no range check looks inside an array, so every number must be finite.
+# Python's json module reads NaN, Infinity and -Infinity. NaN fails every
+# range rule, but Infinity passes every "> 0" and ">= 0" one, so the schema
+# requires every number, in an array too, to be finite.
 NOT_A_NUMBER = [
     (_key("train", "lr0", float("nan")), "train.lr0"),
     (_key("time_pairs", "min_gap", float("nan")), "time_pairs.min_gap"),
@@ -196,21 +210,37 @@ NOT_FINITE = [
 ]
 # np.random.SeedSequence rejects negative entropy, so every seed must be >= 0
 NEGATIVE_SEED = [
-    (_key("task", "seed", -1), "task.seed"),
-    (_key("task", "seed", -1, GMM), "task.seed"),
-    (_key("task", "seed", -1, POINT), "task.seed"),
-    (_key("field", "seed", -1), "field.seed"),
-    (_key("train", "seed", -3), "train.seed"),
-    (_key("diagnose", "seed", -2), "diagnose.seed"),
+    _rule("task", "seed", -1),
+    _rule("task", "seed", -1, GMM),
+    _rule("task", "seed", -1, POINT),
+    _rule("field", "seed", -1),
+    _rule("train", "seed", -3),
+    _rule("diagnose", "seed", -2),
 ]
-CASES = INVALID + NON_OBJECT + NOT_A_NUMBER + NEGATIVE_SEED + NOT_FINITE
+# every array extent is bounded by MAX_SIZE, so numpy never sees a shape it
+# cannot make (these cases follow NOT_FINITE to keep the earlier ids)
+TOO_LARGE = [
+    _rule("task", "dim", 2**70),
+    _rule("task", "components", 2**70, GMM),
+    _rule("field", "hidden_widths", [8, 2**70]),
+    _rule("field", "time_embed_dim", 2**70),
+    _rule("train", "batch_size", 2**70),
+    _rule("eval", "n_samples", MAX_SIZE + 1),
+    _rule("eval", "few_step_ns", [1, 2**70]),
+]
+CASES = [case if len(case) == 3 else (*case, None) for case in
+         INVALID + NON_OBJECT + NOT_A_NUMBER + NEGATIVE_SEED + NOT_FINITE + TOO_LARGE]
 
 
-@pytest.mark.parametrize("doc, path", CASES, ids=[f"{p}-{i}" for i, (_, p) in enumerate(CASES)])
-def test_invalid_document_rejected_at_path(doc, path):
+# a case id names the offending key and carries the case's position
+@pytest.mark.parametrize("doc, path, key", CASES, ids=[
+    f"{p}.{k}-{i}" if k else f"{p}-{i}" for i, (_, p, k) in enumerate(CASES)])
+def test_invalid_document_rejected_at_path(doc, path, key):
     with pytest.raises(ConfigError) as err:
         canonicalize(doc)
     assert err.value.path == path
+    if key is not None:
+        assert str(err.value).startswith(f"{path}: {key} ")
 
 
 def test_every_default_is_materialized():
@@ -226,8 +256,7 @@ def test_every_default_is_materialized():
         "schedule": {"kind": "warmup", "t_warmup": 2500},
         "time_pairs": {"min_gap": 1e-3, "r_zero_prob": 0.25},
         "eval": {"n_samples": 1024, "few_step_ns": [1, 2, 4, 8]},
-        "diagnose": {"samples": 1000, "seed": 0, "identity_tol": 1e-5,
-                     "consistency_tol": 1e-5, "slope_tol": 0.1},
+        "diagnose": {"seed": 0},
         "output_dir": None,
     }
 
@@ -238,3 +267,107 @@ def test_integers_coerce_to_floats_and_steps_are_sorted():
     cfg = canonicalize(doc)
     assert cfg["train"]["lr0"] == 1.0 and isinstance(cfg["train"]["lr0"], float)
     assert cfg["eval"]["few_step_ns"] == [1, 4]
+
+
+def _entries():
+    for section, spec in cli._SCHEMA.items():
+        for make, keys in (spec.values() if isinstance(spec, dict) else [spec]):
+            yield pytest.param(make, keys, id=f"{section}-{make.__name__}")
+
+
+@pytest.mark.parametrize("make, keys", _entries())
+def test_schema_lists_exactly_its_constructors_keywords(make, keys):
+    params = set(inspect.signature(make).parameters)
+    if make is TrainConfig:  # built from the other sections
+        params -= {"task", "schedule", "time_pairs"}
+    assert set(keys) == params
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under generated values
+
+
+SHIPPED = {}
+for _name in sorted(os.listdir(CONFIGS)):
+    with open(os.path.join(CONFIGS, _name)) as _fh:
+        SHIPPED[_name] = json.load(_fh)
+
+
+def _leaves(doc, path=()):
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+LEAVES = [(name, path) for name, doc in SHIPPED.items() for path in _leaves(doc)]
+NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-2**80, max_value=2**80),  # beyond int64 too
+    st.sampled_from([10**400, MAX_SIZE, MAX_SIZE + 1]),  # beyond floats; the size bound
+    st.floats(),  # NaN and both infinities among them
+)
+
+
+def _is_integer(raw: str) -> bool:
+    try:
+        int(raw)
+    except ValueError:
+        return False
+    return True
+
+
+JSON_VALUES = st.one_of(
+    NUMBERS, st.text(max_size=8), st.booleans(), st.none(),
+    st.lists(st.one_of(NUMBERS, st.text(max_size=4), st.booleans(), st.none()), max_size=4),
+    st.dictionaries(st.text(max_size=6), NUMBERS, max_size=3),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.sampled_from(LEAVES), JSON_VALUES)
+def test_a_generated_leaf_is_canonical_or_a_config_error(leaf, value):
+    name, path = leaf
+    doc = copy.deepcopy(SHIPPED[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        assert isinstance(canonicalize(doc), dict)
+    except ConfigError:
+        pass
+
+
+# one flag value out of range, or a non-integer MMF_THREADS, per example
+BAD_FLAGS = st.one_of(
+    st.tuples(st.just("--seed"), st.integers(max_value=-1)),
+    st.tuples(st.just("--n-samples"),
+              st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_SIZE + 1))),
+    st.tuples(st.just("MMF_THREADS"), st.text(min_size=1, max_size=6).filter(
+        lambda raw: "\x00" not in raw and not _is_integer(raw))),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(BAD_FLAGS)
+def test_a_bad_flag_or_environment_value_exits_2_writing_nothing(tmp_path, monkeypatch,
+                                                                 capsys, bad):
+    name, value = bad
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(BASE))
+    before = sorted(os.listdir(tmp_path))
+    out = tmp_path / "out"
+    if name == "MMF_THREADS":
+        monkeypatch.setenv("MMF_THREADS", value)
+        argv = ["ablation", "--config", str(config), "--out", str(out)]
+    else:
+        monkeypatch.delenv("MMF_THREADS", raising=False)
+        command = "sample" if name == "--n-samples" else "train"
+        argv = [command, "--config", str(config), "--out", str(out), name, str(value)]
+        argv += ["--checkpoint", str(tmp_path / "ckpt.json")] if command == "sample" else []
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {name}: ")
+    assert sorted(os.listdir(tmp_path)) == before

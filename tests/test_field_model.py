@@ -7,6 +7,7 @@ import pytest
 from mmflow import autodiff as ad
 from mmflow.autodiff import Tape, as_tensor, backward, jvp
 from mmflow.field_model import (
+    MAX_SIZE,
     FieldConfig,
     VelocityField,
     _state_dict,
@@ -162,6 +163,14 @@ def test_invalid_configs_rejected():
         FieldConfig(input_dim=2, hidden_widths=(4, 0))
     with pytest.raises(ValueError):
         FieldConfig(input_dim=2, time_embed_dim=5)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("input_dim", MAX_SIZE + 1), ("hidden_widths", (4, 2**70)), ("time_embed_dim", 2**70),
+])
+def test_field_config_rejects_a_size_beyond_the_bound(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must lie in \\[1, {MAX_SIZE}\\]"):
+        FieldConfig(**{"input_dim": 2, key: value})
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from mmflow.objectives import (
     loss_full,
     loss_lambda,
     sample_time_pairs,
-    schedule_from_dict,
     target_velocity,
 )
 
@@ -152,14 +151,12 @@ def test_warmup_schedule_paper_horizon():
     assert sched.at(200_000) == 1.0
 
 
-def test_constant_schedule_and_schedule_from_dict():
+def test_constant_schedule_and_schedule_rules():
     assert ConstantSchedule(0.25).at(123) == 0.25
-    assert schedule_from_dict({"kind": "constant", "value": 0.5}) == ConstantSchedule(0.5)
-    assert schedule_from_dict({"kind": "warmup", "t_warmup": 10}) == WarmupSchedule(10)
-    with pytest.raises(ValueError):
-        schedule_from_dict({"kind": "sawtooth"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^value "):
         ConstantSchedule(1.5)
+    with pytest.raises(ValueError, match="^t_warmup "):
+        WarmupSchedule(0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from mmflow.tasks import (
     OdeHarmonicTask,
     PointMassTask,
     SamplePair,
-    task_from_dict,
 )
+from mmflow.field_model import MAX_SIZE
 
 
 def test_ode_harmonic_noiseless_ratio_is_decay_factor():
@@ -112,19 +112,30 @@ def test_reference_path_grid_validation():
 # config plumbing
 
 
-def test_task_from_dict_builds_each_kind():
-    gmm = task_from_dict({"kind": "gmm2d", "components": 5, "ring_radius": 2.0,
-                          "component_std": 0.1, "seed": 9})
-    assert isinstance(gmm, Gmm2dTask)
+def test_each_task_keeps_its_keyword_values():
+    gmm = Gmm2dTask(components=5, ring_radius=2.0, component_std=0.1, seed=9)
     assert (gmm.components, gmm.ring_radius, gmm.component_std, gmm.seed) == (5, 2.0, 0.1, 9)
-    ode = task_from_dict({"kind": "ode_harmonic", "dim": 4, "endpoint_noise_std": 0.02,
-                          "seed": 8})
-    assert isinstance(ode, OdeHarmonicTask)
+    ode = OdeHarmonicTask(dim=4, endpoint_noise_std=0.02, seed=8)
     assert (ode.dim, ode.endpoint_noise_std, ode.seed) == (4, 0.02, 8)
-    point = task_from_dict({"kind": "point_mass", "target_mean": [1.0, 1.0],
-                            "target_std": 0.3, "seed": 7})
-    assert isinstance(point, PointMassTask)
+    point = PointMassTask(target_mean=[1.0, 1.0], target_std=0.3, seed=7)
     assert point.target_mean.tolist() == [1.0, 1.0]
     assert (point.target_std, point.seed) == (0.3, 7)
-    with pytest.raises(ValueError):
-        task_from_dict({"kind": "spiral"})
+
+
+@pytest.mark.parametrize("make, kwargs, key", [
+    (Gmm2dTask, {"components": 0}, "components"),
+    (Gmm2dTask, {"components": MAX_SIZE + 1}, "components"),
+    (Gmm2dTask, {"ring_radius": -1.0}, "ring_radius"),
+    (Gmm2dTask, {"component_std": -0.1}, "component_std"),
+    (Gmm2dTask, {"seed": -1}, "seed"),
+    (OdeHarmonicTask, {"dim": 0}, "dim"),
+    (OdeHarmonicTask, {"dim": 2**70}, "dim"),
+    (OdeHarmonicTask, {"endpoint_noise_std": -0.1}, "endpoint_noise_std"),
+    (OdeHarmonicTask, {"seed": -1}, "seed"),
+    (PointMassTask, {"target_mean": [1.0, 2.0, 3.0]}, "target_mean"),
+    (PointMassTask, {"target_std": -0.5}, "target_std"),
+    (PointMassTask, {"seed": -1}, "seed"),
+])
+def test_task_rejects_a_value_leading_with_its_key(make, kwargs, key):
+    with pytest.raises(ValueError, match=f"^{key} "):
+        make(**kwargs)
