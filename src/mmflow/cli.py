@@ -26,11 +26,14 @@ import numpy as np
 from . import __version__
 from .autodiff import as_tensor
 from .field_model import (
+    ConfigError,
     FieldConfig,
     VelocityField,
     _check_seed,
     _check_size,
+    _checked,
     _on_one_blas_thread,
+    _read_json,
     _set_blas_threads,
     init_params,
     load_checkpoint,
@@ -83,12 +86,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-class ConfigError(ValueError):
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
 # ---------------------------------------------------------------------------
 # config schema
 #
@@ -96,7 +93,8 @@ class ConfigError(ValueError):
 # constructor the section feeds and the JSON type of each key. A missing key
 # takes the constructor's keyword default, so no default is written twice,
 # and every value rule is the constructor's: canonicalization builds each
-# section once, and a value its constructor rejects is a ConfigError at the
+# section once through ``_checked``, as ``load_checkpoint`` builds a
+# checkpoint's, and a value its constructor rejects is a ConfigError at the
 # section, the message led by the key. ``eval`` and ``diagnose`` feed no
 # library object; their constructors below only hold their rules.
 
@@ -147,22 +145,13 @@ _SCHEMA = {
 }
 
 
-def _checked(path: str, make, kwargs: dict):
-    """``make(**kwargs)``; a ``ValueError``, ``TypeError`` or ``OverflowError``
-    it raises becomes a ``ConfigError`` at ``path``."""
-    try:
-        return make(**kwargs)
-    except (ValueError, TypeError, OverflowError) as err:
-        raise ConfigError(path, str(err)) from None
-
-
 def _make(section: str, values: dict, **objects):
     """What the canonical section ``values`` describes, built by the
     constructor its schema entry names, with ``objects`` as extra keywords."""
     spec, kwargs = _SCHEMA[section], dict(values)
     if isinstance(spec, dict):
         spec = spec[kwargs.pop("kind")]
-    return _checked(section, spec[0], {**kwargs, **objects})
+    return _checked(section, spec[0], **kwargs, **objects)
 
 
 def _convert(value, kind, path: str):
@@ -255,16 +244,7 @@ def canonicalize(doc: dict) -> dict:
 
 
 def load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("<config>", f"no such file: {path}")
-    except json.JSONDecodeError as err:
-        raise ConfigError("<config>", f"invalid JSON: {err}")
-    except (OSError, UnicodeDecodeError) as err:
-        raise ConfigError("<config>", f"cannot read {path}: {err}")
-    return canonicalize(doc)
+    return canonicalize(_read_json(path, "<config>"))
 
 
 def config_hash(canonical: dict) -> str:
@@ -337,7 +317,7 @@ def _train_into(run: _Run, config: dict):
 def _override_seed(config: dict, seed):
     """Apply a ``--seed`` flag to ``train.seed`` under the seed rule."""
     if seed is not None:
-        _checked("--seed", _check_seed, {"seed": seed})
+        _checked("--seed", _check_seed, seed)
         config["train"]["seed"] = int(seed)
 
 
@@ -370,7 +350,7 @@ def _load_field(checkpoint, task):
     be read or does not fit the task's dimension."""
     try:
         field = load_checkpoint(checkpoint)
-    except (OSError, ValueError, KeyError) as err:
+    except ValueError as err:
         print(f"checkpoint error: {err}", file=sys.stderr)
         return None
     if isinstance(field, VelocityField):
@@ -471,7 +451,7 @@ def cmd_eval(config_path, checkpoint, out=None) -> int:
 
 def cmd_sample(config_path, checkpoint, out=None, seed=None, n_samples=None) -> int:
     if n_samples is not None:
-        _checked("--n-samples", _eval, {"n_samples": n_samples})
+        _checked("--n-samples", _eval, n_samples=n_samples)
     config = load_config(config_path)
     _override_seed(config, seed)
     out_dir = _resolve_out(config, out)

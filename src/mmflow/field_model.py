@@ -29,6 +29,7 @@ from .autodiff import Tensor
 
 __all__ = [
     "MAX_SIZE",
+    "ConfigError",
     "FieldConfig",
     "VelocityField",
     "init_params",
@@ -52,6 +53,12 @@ _BLOCK_ROWS = 256
 # config or flag may ask for: 16x the largest desk-scale run, and small
 # enough that numpy accepts every shape built from it
 MAX_SIZE = 1 << 16
+
+
+class ConfigError(ValueError):
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
 
 
 @dataclass(frozen=True)
@@ -99,12 +106,12 @@ class FieldConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "FieldConfig":
         """The config that ``to_dict`` wrote. Every field must be present:
-        a checkpoint that lacks one raises ``KeyError`` naming it, rather
+        a checkpoint that lacks one raises ``ValueError`` naming it, rather
         than loading the default, which the stored parameters were not
         trained with."""
         for f in fields(cls):
             if f.name not in d:
-                raise KeyError(f.name)
+                raise ValueError(f"missing key {f.name!r}")
         return cls(**{**d, "hidden_widths": tuple(d["hidden_widths"])})
 
 
@@ -117,6 +124,25 @@ def _check_size(name: str, value: int) -> None:
 def _check_seed(seed: int) -> None:
     if seed < 0:  # np.random.SeedSequence needs it
         raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def _checked(path: str, make, /, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ``ValueError``, ``TypeError`` or
+    ``OverflowError`` it raises becomes a ``ConfigError`` at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, TypeError, OverflowError) as err:
+        raise ConfigError(path, str(err)) from None
+
+
+def _read_json(path, name: str):
+    """The JSON in the file ``path``; a file that cannot be read, is not UTF-8
+    or JSON, or nests too deeply to decode is a ``ConfigError`` at ``name``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as err:
+        raise ConfigError(name, f"cannot read {path}: {err}") from None
 
 
 def _integer(name: str, value) -> int:
@@ -636,55 +662,44 @@ def save_checkpoint(field: VelocityField, path):
     write_atomic(path, lambda fh: fh.write(json.dumps(state)))
 
 
-def _load_section(name, build, *args):
-    """``build(*args)``; a malformed value surfaces as a ``ValueError`` that
-    names the checkpoint section ``name``."""
-    try:
-        return build(*args)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
-        detail = f"missing key {err}" if isinstance(err, KeyError) else err
-        raise ValueError(f"checkpoint {name}: malformed ({detail})") from None
-
-
-def _param_vector(stored, config: FieldConfig) -> np.ndarray:
-    """The stored parameters as one flat vector, checked against the
-    model's shapes; every value must be finite."""
+def _field_from_params(stored, config: FieldConfig) -> VelocityField:
+    """The field of ``config`` over the stored parameters, checked against
+    the model's shapes; every value must be finite."""
     shapes = _param_shapes(config)
     if not isinstance(stored, list) or len(stored) != len(shapes):
         raise ValueError(f"expected a list of {len(shapes)} parameter tensors")
     parts = []
     for i, (shape, item) in enumerate(zip(shapes, stored)):
-        if tuple(item["shape"]) != shape:
-            raise ValueError(f"shape {item['shape']} does not match model shape {shape}")
-        part = np.array(item["data"], dtype=np.float64).reshape(shape).ravel()
+        if not isinstance(item, dict) or tuple(item.get("shape", ())) != shape:
+            raise ValueError(f"tensor {i} does not have the model shape {shape}")
+        part = np.array(item.get("data"), dtype=np.float64).reshape(shape).ravel()
         if not np.isfinite(part).all():
             raise ValueError(f"layer {i // 2} {('weight', 'bias')[i % 2]} "
                              "holds a non-finite value")
         parts.append(part)
-    return np.concatenate(parts)
+    return VelocityField(config, np.concatenate(parts))
 
 
 def load_checkpoint(path):
     """Load a checkpoint; returns a VelocityField or an oracle field adapter.
 
-    A malformed file raises ``ValueError`` naming the bad section. A
-    ``version`` other than 1, the only one, is rejected; a missing one reads as 1.
+    It is read like a config, each section built through ``_checked``: a
+    malformed file raises ``ConfigError`` naming the bad section. A ``version``
+    other than 1, the only one, is rejected; a missing one reads as 1.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, "checkpoint")
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a recognized checkpoint file: {path}")
+        raise ConfigError("checkpoint", f"not a recognized checkpoint file: {path}")
     version = doc.get("version", CHECKPOINT_VERSION)
     if type(version) is not int or version != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version: expected {CHECKPOINT_VERSION}, got {version!r}")
+        raise ConfigError("checkpoint version", f"expected {CHECKPOINT_VERSION}, got {version!r}")
     kind = doc.get("kind", "mlp")
     if kind == "mlp":
-        config = _load_section("config", FieldConfig.from_dict, doc.get("config"))
-        return VelocityField(
-            config, _load_section("params", _param_vector, doc.get("params"), config))
+        config = _checked("checkpoint config", FieldConfig.from_dict, doc.get("config"))
+        return _checked("checkpoint params", _field_from_params, doc.get("params"), config)
     if kind == "analytic_oracle":
         from . import meanflow_math as mm
 
         # any other entry is ignored, so files from older versions still load
-        return mm.OracleField(_load_section("flow", mm.flow_from_dict, doc.get("flow")))
-    raise ValueError(f"unknown checkpoint kind: {kind!r}")
+        return mm.OracleField(_checked("checkpoint flow", mm.flow_from_dict, doc.get("flow")))
+    raise ConfigError("checkpoint kind", f"expected mlp|analytic_oracle, got {kind!r}")

@@ -20,13 +20,14 @@ fixed gaps ``_LIMIT_GAPS``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import as_tensor, jvp
-from .field_model import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
+from .field_model import CHECKPOINT_FORMAT, CHECKPOINT_VERSION, _check_size, _integer
 
 __all__ = [
     "AnalyticFlow",
@@ -64,7 +65,8 @@ class AnalyticFlow:
     kind = "abstract"
 
     def __init__(self, dim: int):
-        self.dim = int(dim)
+        self.dim = _integer("dim", dim)
+        _check_size("dim", self.dim)
 
     def velocity(self, x, t) -> np.ndarray:
         raise NotImplementedError
@@ -87,8 +89,12 @@ class ConstantFlow(AnalyticFlow):
     kind = "constant"
 
     def __init__(self, c):
-        c = np.asarray(c, dtype=np.float64).reshape(-1)
-        super().__init__(c.shape[0])
+        if not (isinstance(c, (list, tuple, np.ndarray)) and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                for v in c)):
+            raise ValueError(f"c must be a flat sequence of finite real numbers, got {c!r}")
+        c = np.array(c, dtype=np.float64)
+        super().__init__(len(c))
         self.c = c
 
     def velocity(self, x, t):
@@ -153,21 +159,18 @@ def _expm1_ratio(g):
     )
 
 
+_FLOWS = {cls.kind: cls for cls in (ConstantFlow, HarmonicFlow)}
+
+
 def flow_from_dict(d: dict) -> AnalyticFlow:
-    """The flow ``to_dict`` wrote; a malformed value raises ``ValueError``."""
-    kind = d.get("kind")
-    if kind == "constant":
-        c = d["c"]
-        if not (isinstance(c, list) and c
-                and all(type(v) in (int, float) and math.isfinite(v) for v in c)):
-            raise ValueError(f"c must be a flat, non-empty list of finite numbers, got {c!r}")
-        return ConstantFlow(c)
-    if kind == "harmonic":
-        dim = d["dim"]
-        if type(dim) is not int or dim < 1:
-            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
-        return HarmonicFlow(dim)
-    raise ValueError(f"unknown analytic flow kind: {kind!r}")
+    """The flow ``to_dict`` wrote: ``kind`` picks the class, built from the
+    other entries as keywords. Every value rule is the constructor's, and an
+    unknown kind or key raises ``ValueError`` or ``TypeError`` too."""
+    fields = {**d}
+    kind = fields.pop("kind", None)
+    if kind not in tuple(_FLOWS):
+        raise ValueError(f"kind must be one of {'|'.join(_FLOWS)}, got {kind!r}")
+    return _FLOWS[kind](**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ class WarmupSchedule:
     t_warmup: int
 
     def __post_init__(self):
-        if self.t_warmup < 1:
+        if not self.t_warmup >= 1:
             raise ValueError(f"t_warmup must be >= 1, got {self.t_warmup}")
 
     def at(self, step: int) -> float:

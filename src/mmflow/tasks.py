@@ -42,9 +42,9 @@ class Gmm2dTask:
     def __init__(self, components: int = 8, ring_radius: float = 4.0,
                  component_std: float = 0.3, seed: int = 0):
         _check_size("components", components)
-        if ring_radius < 0:
+        if not ring_radius >= 0:
             raise ValueError(f"ring_radius must be >= 0, got {ring_radius}")
-        if component_std < 0:
+        if not component_std >= 0:
             raise ValueError(f"component_std must be >= 0, got {component_std}")
         _check_seed(seed)
         self.components = int(components)
@@ -77,7 +77,7 @@ class OdeHarmonicTask:
 
     def __init__(self, dim: int = 2, endpoint_noise_std: float = 0.01, seed: int = 0):
         _check_size("dim", dim)
-        if endpoint_noise_std < 0:
+        if not endpoint_noise_std >= 0:
             raise ValueError(f"endpoint_noise_std must be >= 0, got {endpoint_noise_std}")
         _check_seed(seed)
         self._dim = int(dim)
@@ -107,9 +107,9 @@ class PointMassTask:
 
     def __init__(self, target_mean=(3.0, 0.0), target_std: float = 0.25, seed: int = 0):
         mean = np.asarray(target_mean, dtype=np.float64).reshape(-1)
-        if mean.shape[0] != 2:
-            raise ValueError(f"target_mean must be a 2-vector, got {mean.tolist()!r}")
-        if target_std < 0:
+        if mean.shape[0] != 2 or not np.isfinite(mean).all():
+            raise ValueError(f"target_mean must be a finite 2-vector, got {mean.tolist()!r}")
+        if not target_std >= 0:
             raise ValueError(f"target_std must be >= 0, got {target_std}")
         _check_seed(seed)
         self.target_mean = mean

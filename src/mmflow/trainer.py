@@ -78,7 +78,7 @@ class TrainConfig:
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
         _check_size("batch_size", self.batch_size)
-        if self.lr0 <= 0:
+        if not self.lr0 > 0:
             raise ValueError(f"lr0 must be positive, got {self.lr0}")
         _check_seed(self.seed)
         if not 1 <= self.log_every <= self.total_steps:
@@ -86,7 +86,7 @@ class TrainConfig:
                              f"got {self.log_every}")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
+        if self.grad_clip is not None and not self.grad_clip > 0:
             raise ValueError(f"grad_clip must be positive when set, got {self.grad_clip}")
         for key, choices in (("interpolation", ("interval_ratio", "absolute_time")),
                              ("target_norm", ("sampled_gap", "pair_span"))):

@@ -339,6 +339,23 @@ def test_checkpoint_config_without_a_key_exits_2_naming_it(tmp_path, capsys, key
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "sample"])
+def test_deeply_nested_json_exits_2_writing_nothing(tmp_path, capsys, command):
+    # the decoder's RecursionError used to escape: exit 1 with a traceback
+    config = smoke_config(tmp_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [command, "--config", str(deep if command == "train" else config),
+            "--out", str(tmp_path / "never")]
+    argv += [] if command == "train" else ["--checkpoint", str(deep)]
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    where = "config error: <config>: " if command == "train" else "checkpoint error: checkpoint: "
+    assert err.startswith(where) and "recursion" in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def overflowing_checkpoint(tmp_path, every_row):
     """A finite checkpoint of the smoke config's field whose outputs
     overflow. One output weight of 1e300 keeps the samples finite but not

@@ -1,19 +1,23 @@
 """Pins of the config schema: canonical hashes of the shipped configs, the
 ``ConfigError.path`` each kind of invalid document is rejected with, the
 schema's agreement with its constructors, and the exit-code contract under
-generated values."""
+generated values, for configs and checkpoints alike."""
 
 import copy
 import inspect
 import json
 import os
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mmflow.cli as cli
 from mmflow.cli import ConfigError, canonicalize, config_hash, load_config, main
-from mmflow.field_model import MAX_SIZE
+from mmflow.field_model import MAX_SIZE, FieldConfig, _state_dict, init_params
+from mmflow.meanflow_math import ConstantFlow, HarmonicFlow, OracleField
+from mmflow.objectives import WarmupSchedule
+from mmflow.tasks import Gmm2dTask, OdeHarmonicTask, PointMassTask
 from mmflow.trainer import TrainConfig
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -283,6 +287,27 @@ def test_schema_lists_exactly_its_constructors_keywords(make, keys):
     assert set(keys) == params
 
 
+# each passed its rule before: NaN fails no "<" or "<=" comparison. The JSON
+# layer rejects NaN too, but the rules hold for Python callers as well.
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, key, value", [
+    (TrainConfig, "lr0", NAN),
+    (TrainConfig, "grad_clip", NAN),
+    (Gmm2dTask, "ring_radius", NAN),
+    (Gmm2dTask, "component_std", NAN),
+    (OdeHarmonicTask, "endpoint_noise_std", NAN),
+    (PointMassTask, "target_std", NAN),
+    (PointMassTask, "target_mean", [NAN, 0.0]),
+    (PointMassTask, "target_mean", [0.0, float("inf")]),
+    (WarmupSchedule, "t_warmup", NAN),
+])
+def test_a_constructor_rejects_nan_naming_the_key(make, key, value):
+    with pytest.raises(ValueError, match=f"^{key} "):
+        make(**{key: value})
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract under generated values
 
@@ -299,6 +324,16 @@ def _leaves(doc, path=()):
             yield from _leaves(value, path + (key,))
     else:
         yield path
+
+
+def _with_leaf(doc, path, value):
+    """A copy of ``doc`` with the leaf at ``path`` replaced by ``value``."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
 
 
 LEAVES = [(name, path) for name, doc in SHIPPED.items() for path in _leaves(doc)]
@@ -329,11 +364,7 @@ JSON_VALUES = st.one_of(
 @given(st.sampled_from(LEAVES), JSON_VALUES)
 def test_a_generated_leaf_is_canonical_or_a_config_error(leaf, value):
     name, path = leaf
-    doc = copy.deepcopy(SHIPPED[name])
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    doc = _with_leaf(SHIPPED[name], path, value)
     try:
         assert isinstance(canonicalize(doc), dict)
     except ConfigError:
@@ -371,3 +402,34 @@ def test_a_bad_flag_or_environment_value_exits_2_writing_nothing(tmp_path, monke
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {name}: ")
     assert sorted(os.listdir(tmp_path)) == before
+
+
+# a small MLP checkpoint and both oracle kinds, each of BASE's dimension
+CHECKPOINTS = {
+    "mlp": _state_dict(init_params(FieldConfig(input_dim=2, hidden_widths=(4,),
+                                               time_embed_dim=2, base_frequency=1.0))),
+    "harmonic": OracleField(HarmonicFlow(2)).to_dict(),
+    "constant": OracleField(ConstantFlow([0.5, -0.5])).to_dict(),
+}
+# the checkpoint first, so the MLP's 38 parameter values do not crowd out the
+# oracles' few leaves
+CHECKPOINT_LEAVES = st.sampled_from(sorted(CHECKPOINTS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(list(_leaves(CHECKPOINTS[name])))))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(CHECKPOINT_LEAVES, JSON_VALUES)
+def test_a_generated_checkpoint_leaf_exits_0_2_or_3(leaf, value):
+    name, path = leaf
+    with tempfile.TemporaryDirectory() as tmp:
+        config, ckpt = os.path.join(tmp, "config.json"), os.path.join(tmp, "ckpt.json")
+        with open(config, "w") as fh:
+            json.dump(BASE, fh)
+        with open(ckpt, "w") as fh:
+            json.dump(_with_leaf(CHECKPOINTS[name], path, value), fh)
+        for command in ("eval", "sample"):
+            out = os.path.join(tmp, command)
+            code = main([command, "--config", config, "--checkpoint", ckpt, "--out", out])
+            assert code in (0, 2, 3)
+            if code == 2:
+                assert not os.path.exists(out)

@@ -78,6 +78,33 @@ def test_flow_from_dict_roundtrip():
         flow_from_dict({"kind": "vortex"})
 
 
+# each used to construct: HarmonicFlow(2.7) as a 2-D flow, the rest as flows
+# that a checkpoint could not hold
+@pytest.mark.parametrize("make, arg, error", [
+    (HarmonicFlow, 2.7, TypeError),
+    (HarmonicFlow, True, TypeError),
+    (HarmonicFlow, 0, ValueError),
+    (HarmonicFlow, -3, ValueError),
+    (ConstantFlow, [], ValueError),
+    (ConstantFlow, [[0.5]], ValueError),
+    (ConstantFlow, np.array([[0.5]]), ValueError),
+    (ConstantFlow, [math.nan], ValueError),
+    (ConstantFlow, [1.0, -math.inf], ValueError),
+    (ConstantFlow, [True, 0.5], ValueError),
+    (ConstantFlow, "05", ValueError),
+])
+def test_flow_constructor_rejects_what_no_flow_is(make, arg, error):
+    with pytest.raises(error, match=r"^(dim|c)\b"):
+        make(arg)
+
+
+def test_flow_from_dict_rejects_an_unknown_key():
+    with pytest.raises(TypeError, match="quad_intervals"):
+        flow_from_dict({"kind": "harmonic", "dim": 2, "quad_intervals": 200})
+    with pytest.raises(TypeError, match="dim"):
+        flow_from_dict({"kind": "constant", "c": [0.5], "dim": 1})
+
+
 # ---------------------------------------------------------------------------
 # RK4 integrator
 
