@@ -19,6 +19,7 @@ import hashlib
 import inspect
 import json
 import os
+import reprlib
 import sys
 
 import numpy as np
@@ -161,7 +162,7 @@ def _convert(value, kind, path: str):
     if isinstance(kind, list):
         if isinstance(value, list) and value:
             return [_convert(v, kind[0], path) for v in value]
-        raise ConfigError(path, f"expected a non-empty array, got {value!r}")
+        raise ConfigError(path, f"expected a non-empty array, got {reprlib.repr(value)}")
     if isinstance(kind, tuple):
         return None if value is None else _convert(value, kind[0], path)
     if kind is bool:
@@ -170,7 +171,7 @@ def _convert(value, kind, path: str):
         ok = (isinstance(value, (int, float) if kind is float else kind)
               and not isinstance(value, bool))
     if not ok:
-        raise ConfigError(path, f"expected {_JSON_TYPES[kind]}, got {value!r}")
+        raise ConfigError(path, f"expected {_JSON_TYPES[kind]}, got {reprlib.repr(value)}")
     if kind is not float:
         return value
     try:
@@ -178,7 +179,7 @@ def _convert(value, kind, path: str):
     except OverflowError:  # an integer beyond the float range
         value = float("inf")
     if not np.isfinite(value):
-        raise ConfigError(path, f"expected a finite number, got {value!r}")
+        raise ConfigError(path, f"expected a finite number, got {reprlib.repr(value)}")
     return value
 
 
@@ -187,12 +188,13 @@ def _section(doc, path: str, **extra_defaults) -> dict:
     returns it with every default filled in, ``extra_defaults`` taking
     precedence."""
     if not isinstance(doc, dict):
-        raise ConfigError(path, f"expected an object, got {doc!r}")
+        raise ConfigError(path, f"expected an object, got {reprlib.repr(doc)}")
     spec, out = _SCHEMA[path], {}
     if isinstance(spec, dict):  # a kinded section: the kind picks the entry
         kind = doc.get("kind")
         if kind not in tuple(spec):
-            raise ConfigError(f"{path}.kind", f"expected one of {'|'.join(spec)}, got {kind!r}")
+            raise ConfigError(f"{path}.kind",
+                              f"expected one of {'|'.join(spec)}, got {reprlib.repr(kind)}")
         spec, out = spec[kind], {"kind": kind}
         doc = {k: v for k, v in doc.items() if k != "kind"}
     make, keys = spec
@@ -317,8 +319,7 @@ def _train_into(run: _Run, config: dict):
 def _override_seed(config: dict, seed):
     """Apply a ``--seed`` flag to ``train.seed`` under the seed rule."""
     if seed is not None:
-        _checked("--seed", _check_seed, seed)
-        config["train"]["seed"] = int(seed)
+        config["train"]["seed"] = _checked("--seed", _check_seed, seed)
 
 
 def _resolve_out(config: dict, out) -> str:
@@ -559,7 +560,8 @@ def _worker_count(raw, jobs: int, cpus: int) -> int:
     try:
         requested = int(raw or "1")
     except ValueError:
-        raise ConfigError("MMF_THREADS", f"expected an integer, got {raw!r}") from None
+        raise ConfigError("MMF_THREADS",
+                          f"expected an integer, got {reprlib.repr(raw)}") from None
     return max(1, min(requested, jobs, cpus))
 
 

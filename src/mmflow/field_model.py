@@ -19,6 +19,7 @@ import json
 import math
 import operator
 import os
+import reprlib
 import threading
 from dataclasses import dataclass, field, asdict, fields
 
@@ -71,22 +72,18 @@ class FieldConfig:
     zero_init_output: bool = False
 
     def __post_init__(self):
-        for name in ("input_dim", "time_embed_dim", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("input_dim", "time_embed_dim"):
+            object.__setattr__(self, name, _check_size(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "hidden_widths",
-                           tuple(_integer("hidden_widths", w) for w in self.hidden_widths))
+                           tuple(_check_size("hidden_widths", w) for w in self.hidden_widths))
         if not isinstance(self.zero_init_output, bool):
-            raise TypeError(f"zero_init_output must be a bool, got {self.zero_init_output!r}")
-        _check_size("input_dim", self.input_dim)
-        _check_seed(self.seed)
+            raise TypeError(f"zero_init_output must be a bool, "
+                            f"got {reprlib.repr(self.zero_init_output)}")
         if not self.hidden_widths:
             raise ValueError("hidden_widths must be non-empty")
-        for w in self.hidden_widths:
-            _check_size("hidden_widths", w)
-        k = self.time_embed_dim
-        _check_size("time_embed_dim", k)
-        if k % 2:
-            raise ValueError(f"time_embed_dim must be even, got {k}")
+        if self.time_embed_dim % 2:
+            raise ValueError(f"time_embed_dim must be even, got {self.time_embed_dim}")
         f = self.base_frequency
         if isinstance(f, bool) or not (math.isfinite(f) and f > 0):
             raise ValueError(f"base_frequency must be finite and positive, got {f!r}")
@@ -115,15 +112,19 @@ class FieldConfig:
         return cls(**{**d, "hidden_widths": tuple(d["hidden_widths"])})
 
 
-def _check_size(name: str, value: int) -> None:
-    """Raise ``ValueError`` unless the array extent ``value`` lies in [1, ``MAX_SIZE``]."""
+def _check_size(name: str, value) -> int:
+    """The array extent ``value``, which must be an integer in [1, ``MAX_SIZE``]."""
+    value = _integer(name, value)
     if not 1 <= value <= MAX_SIZE:
-        raise ValueError(f"{name} must lie in [1, {MAX_SIZE}], got {value}")
+        raise ValueError(f"{name} must lie in [1, {MAX_SIZE}], got {reprlib.repr(value)}")
+    return value
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed) -> int:
+    seed = _integer("seed", seed)
     if seed < 0:  # np.random.SeedSequence needs it
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise ValueError(f"seed must be >= 0, got {reprlib.repr(seed)}")
+    return seed
 
 
 def _checked(path: str, make, /, *args, **kwargs):
@@ -148,7 +149,7 @@ def _read_json(path, name: str):
 def _integer(name: str, value) -> int:
     """``value`` through ``operator.index``; a bool, float or str raises ``TypeError``."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise TypeError(f"{name}: expected an integer, got {value!r}")
+        raise TypeError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return operator.index(value)
 
 
@@ -664,7 +665,7 @@ def save_checkpoint(field: VelocityField, path):
 
 def _field_from_params(stored, config: FieldConfig) -> VelocityField:
     """The field of ``config`` over the stored parameters, checked against
-    the model's shapes; every value must be finite."""
+    the model's shapes; every value must be a JSON number, and finite."""
     shapes = _param_shapes(config)
     if not isinstance(stored, list) or len(stored) != len(shapes):
         raise ValueError(f"expected a list of {len(shapes)} parameter tensors")
@@ -672,10 +673,14 @@ def _field_from_params(stored, config: FieldConfig) -> VelocityField:
     for i, (shape, item) in enumerate(zip(shapes, stored)):
         if not isinstance(item, dict) or tuple(item.get("shape", ())) != shape:
             raise ValueError(f"tensor {i} does not have the model shape {shape}")
-        part = np.array(item.get("data"), dtype=np.float64).reshape(shape).ravel()
+        label = f"layer {i // 2} {('weight', 'bias')[i % 2]}"
+        data = item.get("data")
+        # np.array would read "0.5" and true as numbers
+        if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+            raise ValueError(f"{label} holds a value that is not a number")
+        part = np.array(data, dtype=np.float64).reshape(shape).ravel()
         if not np.isfinite(part).all():
-            raise ValueError(f"layer {i // 2} {('weight', 'bias')[i % 2]} "
-                             "holds a non-finite value")
+            raise ValueError(f"{label} holds a non-finite value")
         parts.append(part)
     return VelocityField(config, np.concatenate(parts))
 
@@ -692,7 +697,8 @@ def load_checkpoint(path):
         raise ConfigError("checkpoint", f"not a recognized checkpoint file: {path}")
     version = doc.get("version", CHECKPOINT_VERSION)
     if type(version) is not int or version != CHECKPOINT_VERSION:
-        raise ConfigError("checkpoint version", f"expected {CHECKPOINT_VERSION}, got {version!r}")
+        raise ConfigError("checkpoint version",
+                          f"expected {CHECKPOINT_VERSION}, got {reprlib.repr(version)}")
     kind = doc.get("kind", "mlp")
     if kind == "mlp":
         config = _checked("checkpoint config", FieldConfig.from_dict, doc.get("config"))
@@ -702,4 +708,5 @@ def load_checkpoint(path):
 
         # any other entry is ignored, so files from older versions still load
         return mm.OracleField(_checked("checkpoint flow", mm.flow_from_dict, doc.get("flow")))
-    raise ConfigError("checkpoint kind", f"expected mlp|analytic_oracle, got {kind!r}")
+    raise ConfigError("checkpoint kind",
+                      f"expected mlp|analytic_oracle, got {reprlib.repr(kind)}")

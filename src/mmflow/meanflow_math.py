@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import as_tensor, jvp
-from .field_model import CHECKPOINT_FORMAT, CHECKPOINT_VERSION, _check_size, _integer
+from .field_model import CHECKPOINT_FORMAT, CHECKPOINT_VERSION, _check_size
 
 __all__ = [
     "AnalyticFlow",
@@ -65,8 +66,7 @@ class AnalyticFlow:
     kind = "abstract"
 
     def __init__(self, dim: int):
-        self.dim = _integer("dim", dim)
-        _check_size("dim", self.dim)
+        self.dim = _check_size("dim", dim)
 
     def velocity(self, x, t) -> np.ndarray:
         raise NotImplementedError
@@ -92,7 +92,8 @@ class ConstantFlow(AnalyticFlow):
         if not (isinstance(c, (list, tuple, np.ndarray)) and all(
                 isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
                 for v in c)):
-            raise ValueError(f"c must be a flat sequence of finite real numbers, got {c!r}")
+            raise ValueError("c must be a flat sequence of finite real numbers, "
+                             f"got {reprlib.repr(c)}")
         c = np.array(c, dtype=np.float64)
         super().__init__(len(c))
         self.c = c
@@ -169,7 +170,7 @@ def flow_from_dict(d: dict) -> AnalyticFlow:
     fields = {**d}
     kind = fields.pop("kind", None)
     if kind not in tuple(_FLOWS):
-        raise ValueError(f"kind must be one of {'|'.join(_FLOWS)}, got {kind!r}")
+        raise ValueError(f"kind must be one of {'|'.join(_FLOWS)}, got {reprlib.repr(kind)}")
     return _FLOWS[kind](**fields)
 
 

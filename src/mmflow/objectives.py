@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor, jvp
+from .field_model import _integer
 
 __all__ = [
     "MIN_GAP_FLOOR",
@@ -102,6 +103,7 @@ class WarmupSchedule:
     t_warmup: int
 
     def __post_init__(self):
+        object.__setattr__(self, "t_warmup", _integer("t_warmup", self.t_warmup))
         if not self.t_warmup >= 1:
             raise ValueError(f"t_warmup must be >= 1, got {self.t_warmup}")
 

@@ -8,6 +8,8 @@ point-mass task couple independent draws of the two marginals.
 
 from __future__ import annotations
 
+import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +43,14 @@ class Gmm2dTask:
 
     def __init__(self, components: int = 8, ring_radius: float = 4.0,
                  component_std: float = 0.3, seed: int = 0):
-        _check_size("components", components)
-        if not ring_radius >= 0:
-            raise ValueError(f"ring_radius must be >= 0, got {ring_radius}")
-        if not component_std >= 0:
-            raise ValueError(f"component_std must be >= 0, got {component_std}")
-        _check_seed(seed)
-        self.components = int(components)
+        self.components = _check_size("components", components)
+        if not 0 <= ring_radius < math.inf:
+            raise ValueError(f"ring_radius must be finite and >= 0, got {ring_radius}")
+        if not 0 <= component_std < math.inf:
+            raise ValueError(f"component_std must be finite and >= 0, got {component_std}")
+        self.seed = _check_seed(seed)
         self.ring_radius = float(ring_radius)
         self.component_std = float(component_std)
-        self.seed = int(seed)
         angles = 2.0 * np.pi * np.arange(self.components) / self.components
         self.centers = self.ring_radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
@@ -76,13 +76,12 @@ class OdeHarmonicTask:
     """
 
     def __init__(self, dim: int = 2, endpoint_noise_std: float = 0.01, seed: int = 0):
-        _check_size("dim", dim)
-        if not endpoint_noise_std >= 0:
-            raise ValueError(f"endpoint_noise_std must be >= 0, got {endpoint_noise_std}")
-        _check_seed(seed)
-        self._dim = int(dim)
+        self._dim = _check_size("dim", dim)
+        if not 0 <= endpoint_noise_std < math.inf:
+            raise ValueError(f"endpoint_noise_std must be finite and >= 0, "
+                             f"got {endpoint_noise_std}")
+        self.seed = _check_seed(seed)
         self.endpoint_noise_std = float(endpoint_noise_std)
-        self.seed = int(seed)
 
     @property
     def dim(self) -> int:
@@ -108,13 +107,13 @@ class PointMassTask:
     def __init__(self, target_mean=(3.0, 0.0), target_std: float = 0.25, seed: int = 0):
         mean = np.asarray(target_mean, dtype=np.float64).reshape(-1)
         if mean.shape[0] != 2 or not np.isfinite(mean).all():
-            raise ValueError(f"target_mean must be a finite 2-vector, got {mean.tolist()!r}")
-        if not target_std >= 0:
-            raise ValueError(f"target_std must be >= 0, got {target_std}")
-        _check_seed(seed)
+            raise ValueError("target_mean must be a finite 2-vector, "
+                             f"got {reprlib.repr(mean.tolist())}")
+        if not 0 <= target_std < math.inf:
+            raise ValueError(f"target_std must be finite and >= 0, got {target_std}")
+        self.seed = _check_seed(seed)
         self.target_mean = mean
         self.target_std = float(target_std)
-        self.seed = int(seed)
 
     @property
     def dim(self) -> int:

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import math
 import os
+import reprlib
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .autodiff import Tape, backward
-from .field_model import _check_seed, _check_size, save_checkpoint, write_atomic, write_csv
+from .field_model import (_check_seed, _check_size, _integer, save_checkpoint, write_atomic,
+                          write_csv)
 from .objectives import (
     TimePairConfig,
     build_batch,
@@ -75,24 +77,26 @@ class TrainConfig:
     target_norm: str = "sampled_gap"
 
     def __post_init__(self):
+        for key in ("total_steps", "log_every", "checkpoint_every"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        object.__setattr__(self, "batch_size", _check_size("batch_size", self.batch_size))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
-        _check_size("batch_size", self.batch_size)
-        if not self.lr0 > 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
-        _check_seed(self.seed)
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be finite and positive, got {self.lr0}")
         if not 1 <= self.log_every <= self.total_steps:
             raise ValueError(f"log_every must lie in [1, total_steps = {self.total_steps}], "
                              f"got {self.log_every}")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ValueError(f"grad_clip must be positive when set, got {self.grad_clip}")
+        if self.grad_clip is not None and not 0 < self.grad_clip < math.inf:
+            raise ValueError(f"grad_clip must be finite and positive, got {self.grad_clip}")
         for key, choices in (("interpolation", ("interval_ratio", "absolute_time")),
                              ("target_norm", ("sampled_gap", "pair_span"))):
             if getattr(self, key) not in choices:
                 raise ValueError(f"{key} must be one of {'|'.join(choices)}, "
-                                 f"got {getattr(self, key)!r}")
+                                 f"got {reprlib.repr(getattr(self, key))}")
 
 
 @dataclass
@@ -259,6 +263,8 @@ def train(field, config: TrainConfig, batch_fn: Optional[Callable] = None,
         if config.task is None:
             raise ValueError("train needs either config.task or an explicit batch_fn")
         batch_fn = _task_batch_fn(config.task, config.interpolation)
+    if config.schedule is None:
+        raise ValueError("train needs config.schedule")
 
     # stream 0 is reserved for parameter init (fields arrive pre-initialized)
     _, time_ss, data_ss = np.random.SeedSequence(config.seed).spawn(3)

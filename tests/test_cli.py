@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -285,12 +287,17 @@ def small_params(tensor, value):
     (json.dumps(mlp_doc(params=small_params(0, 10**400))), "params"),
     (json.dumps(valid_mlp_doc(config={**SMALL_FIELD, "seed": -1})), "seed must be >= 0"),
     (json.dumps(valid_mlp_doc(config={**SMALL_FIELD, "base_frequency": 10**400})), "config"),
+    # np.array(..., dtype=float64) read "0.5" as 0.5 and true as 1.0, so these loaded
+    *[(json.dumps(valid_mlp_doc(params=small_params(tensor, value))),
+       f"params: layer {tensor // 2} {('weight', 'bias')[tensor % 2]} holds a value that "
+       "is not a number") for tensor, value in ((0, "0.5"), (1, True), (2, None), (3, [0.0]))],
 ], ids=["array", "nan", "config-number", "config-unknown-key", "params-number",
         "params-shape", "flow-array", "params-nan-bias", "params-infinite-weight",
         "flow-fractional-dim", "flow-string-dim", "flow-bool-dim", "flow-nested-c",
         "flow-nan-c", "flow-huge-int-c", "config-fractional-width", "config-string-width",
         "config-string-zero-init", "config-fractional-seed", "config-bool-frequency",
-        "version-99", "params-huge-int", "config-negative-seed", "config-huge-int-frequency"])
+        "version-99", "params-huge-int", "config-negative-seed", "config-huge-int-frequency",
+        "params-string-weight", "params-bool-bias", "params-null-weight", "params-array-bias"])
 def test_malformed_checkpoint_exits_2_before_writing(tmp_path, capsys, text, section):
     config = smoke_config(tmp_path)
     ckpt = tmp_path / "bad.json"
@@ -302,6 +309,39 @@ def test_malformed_checkpoint_exits_2_before_writing(tmp_path, capsys, text, sec
         err = capsys.readouterr().err
         assert "checkpoint error" in err and section in err
         assert not out.exists()
+
+
+DEEP_C = "[" * 980 + "0.5" + "]" * 980
+WIDE = [4] * 100_000
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+@pytest.mark.parametrize("command, config_changes, checkpoint", [
+    ("eval", {}, f'{{"format": "mmflow-checkpoint", "kind": "analytic_oracle", '
+                 f'"flow": {{"kind": "constant", "c": {DEEP_C}}}}}'),
+    ("eval", {}, json.dumps(valid_mlp_doc(config={**SMALL_FIELD, "hidden_widths": [WIDE]}))),
+    ("train", {"field": {"hidden_widths": [WIDE]}}, None),
+    ("train", {"field": WIDE}, None),
+], ids=["checkpoint-deep-c", "checkpoint-wide-width", "config-wide-width", "config-wide-field"])
+def test_a_huge_rejected_value_prints_one_short_line(tmp_path, command, config_changes,
+                                                     checkpoint):
+    # the whole value used to be printed: about 2000 brackets for the deep c,
+    # and 100 000 entries for an array where a number or an object belongs.
+    # The command runs in a fresh interpreter, as `mmf` does: under the test
+    # runner's own stack the decoder already gives up on the deep c.
+    args = [command, "--config", str(smoke_config(tmp_path, **config_changes)),
+            "--out", str(tmp_path / "never")]
+    if checkpoint is not None:
+        (tmp_path / "ckpt.json").write_text(checkpoint)
+        args += ["--checkpoint", str(tmp_path / "ckpt.json")]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from mmflow.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and len(lines[0]) <= 200, lines[0][:300]
+    assert not (tmp_path / "never").exists()
 
 
 def test_integer_base_frequency_in_a_checkpoint_loads_as_its_float(tmp_path):

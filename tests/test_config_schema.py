@@ -6,9 +6,11 @@ generated values, for configs and checkpoints alike."""
 import copy
 import inspect
 import json
+import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -16,7 +18,7 @@ import mmflow.cli as cli
 from mmflow.cli import ConfigError, canonicalize, config_hash, load_config, main
 from mmflow.field_model import MAX_SIZE, FieldConfig, _state_dict, init_params
 from mmflow.meanflow_math import ConstantFlow, HarmonicFlow, OracleField
-from mmflow.objectives import WarmupSchedule
+from mmflow.objectives import ConstantSchedule, TimePairConfig, WarmupSchedule
 from mmflow.tasks import Gmm2dTask, OdeHarmonicTask, PointMassTask
 from mmflow.trainer import TrainConfig
 
@@ -301,11 +303,73 @@ NAN = float("nan")
     (PointMassTask, "target_std", NAN),
     (PointMassTask, "target_mean", [NAN, 0.0]),
     (PointMassTask, "target_mean", [0.0, float("inf")]),
-    (WarmupSchedule, "t_warmup", NAN),
 ])
 def test_a_constructor_rejects_nan_naming_the_key(make, key, value):
     with pytest.raises(ValueError, match=f"^{key} "):
         make(**{key: value})
+
+
+# what each constructor needs besides the key under test
+REQUIRED = {FieldConfig: {"input_dim": 2}, HarmonicFlow: {"dim": 2},
+            WarmupSchedule: {"t_warmup": 4}, TrainConfig: {"total_steps": 10, "log_every": 1}}
+
+# the JSON layer checks types first, so these rules matter to Python callers:
+# the tasks, TrainConfig and WarmupSchedule used to cut 2.5 down to 2 and
+# take True as 1
+INTEGER_KEYS = [
+    (FieldConfig, "input_dim"), (FieldConfig, "hidden_widths"),
+    (FieldConfig, "time_embed_dim"), (FieldConfig, "seed"),
+    (HarmonicFlow, "dim"),
+    (Gmm2dTask, "components"), (Gmm2dTask, "seed"),
+    (OdeHarmonicTask, "dim"), (OdeHarmonicTask, "seed"),
+    (PointMassTask, "seed"),
+    (TrainConfig, "total_steps"), (TrainConfig, "batch_size"), (TrainConfig, "seed"),
+    (TrainConfig, "log_every"), (TrainConfig, "checkpoint_every"),
+    (WarmupSchedule, "t_warmup"),
+]
+
+
+def _with(make, key, value):
+    """``make`` built with ``key`` set to ``value``, an entry of it for ``hidden_widths``."""
+    return make(**{**REQUIRED.get(make, {}), key: [value] if key == "hidden_widths" else value})
+
+
+def _each(keys):
+    return pytest.mark.parametrize("make, key", keys,
+                                   ids=[f"{make.__name__}-{key}" for make, key in keys])
+
+
+@_each(INTEGER_KEYS)
+@pytest.mark.parametrize("value", [2.5, True, "3", None, NAN])
+def test_an_integer_parameter_rejects_a_non_integer_naming_the_key(make, key, value):
+    with pytest.raises(TypeError, match=f"^{key} must be an integer, got "):
+        _with(make, key, value)
+
+
+@_each(INTEGER_KEYS)
+def test_an_integer_parameter_is_stored_as_an_int(make, key):
+    stored = getattr(_with(make, key, np.int64(4)), key)
+    value = stored[0] if key == "hidden_widths" else stored
+    assert type(value) is int and value == 4
+
+
+# Infinity passed every ">= 0" and "> 0" rule; Gmm2dTask(ring_radius=inf)
+# put its centers at [inf, nan]
+NUMBER_KEYS = [
+    (FieldConfig, "base_frequency"),
+    (TrainConfig, "lr0"), (TrainConfig, "grad_clip"),
+    (Gmm2dTask, "ring_radius"), (Gmm2dTask, "component_std"),
+    (OdeHarmonicTask, "endpoint_noise_std"), (PointMassTask, "target_std"),
+    (TimePairConfig, "min_gap"), (TimePairConfig, "r_zero_prob"),
+    (ConstantSchedule, "value"),
+]
+
+
+@_each(NUMBER_KEYS)
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_a_number_parameter_rejects_an_infinity_naming_the_key(make, key, value):
+    with pytest.raises(ValueError, match=f"^{key} "):
+        _with(make, key, value)
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,14 @@ def test_train_requires_task_or_batch_fn():
         train(field, cfg)
 
 
+def test_train_without_a_schedule_raises_naming_it():
+    # it used to reach step 0 and die on None.at with an AttributeError
+    cfg = TrainConfig(total_steps=5, batch_size=4, lr0=1e-3, seed=0, log_every=1,
+                      task=OdeHarmonicTask(dim=2))
+    with pytest.raises(ValueError, match="schedule"):
+        train(init_params(SMALL_FIELD), cfg)
+
+
 def test_smoke_run_reaches_exact_optimum_region():
     field = init_params(FieldConfig(
         input_dim=2, hidden_widths=(32, 32), time_embed_dim=8,
