@@ -15,6 +15,7 @@ from mmflow import (
     OdeHarmonicTask,
     TrainConfig,
     WarmupSchedule,
+    as_tensor,
     few_step_sample,
     init_params,
     one_step_mse,
@@ -60,6 +61,6 @@ ref = task.reference_path(SamplePair(x0=x0, x1=x1), grid_len=257)
 print("8-step path deviation from the exact decay paths:",
       f"{np.mean(path_deviation(paths, ref)):.2e}")
 
-zero = few_step_sample(lambda x, r, t: 0.0 * x, x1, 8)
+zero = few_step_sample(lambda x, r, t: as_tensor(np.zeros(x.shape)), x1, 8)
 print("zero-field baseline                             :",
       f"{np.mean(path_deviation(zero, ref)):.2e}")

@@ -183,6 +183,11 @@ def _convert(value, kind, path: str):
     return value
 
 
+def _key_path(path: str, key: str) -> str:
+    """``path.key``, the key as ``reprlib`` abridges it, without its quotes."""
+    return f"{path}.{reprlib.repr(key)[1:-1]}"
+
+
 def _section(doc, path: str, **extra_defaults) -> dict:
     """Check one config section's JSON types against ``_SCHEMA[path]``;
     returns it with every default filled in, ``extra_defaults`` taking
@@ -201,7 +206,7 @@ def _section(doc, path: str, **extra_defaults) -> dict:
     defaults = {**_defaults(make), **extra_defaults}
     unknown = sorted(set(doc) - set(keys))
     if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
+        raise ConfigError(_key_path(path, unknown[0]), "unknown key")
     for key, kind in keys.items():
         where = f"{path}.{key}"
         if key not in doc and key not in defaults:
@@ -221,7 +226,7 @@ def canonicalize(doc: dict) -> dict:
         raise ConfigError("<root>", "config must be a JSON object")
     unknown = sorted(set(doc) - set(_SCHEMA) - {"output_dir"})
     if unknown:
-        raise ConfigError(f"<root>.{unknown[0]}", "unknown key")
+        raise ConfigError(_key_path("<root>", unknown[0]), "unknown key")
     if "task" not in doc:
         raise ConfigError("task", "missing required section")
     out = {"task": _section(doc["task"], "task")}
@@ -648,18 +653,18 @@ def main(argv=None) -> int:
         "--n-samples": {"type": int, "default": None},
     }
 
-    def add(name, *flags, config_optional=False):
+    def command(name, *flags, config_optional=False):
         p = sub.add_parser(name)
         p.add_argument("--config", required=not config_optional, default=None)
         for flag in flags:
             p.add_argument(flag, **flag_options[flag])
 
     # each command registers only the flags it reads
-    add("train", "--out", "--seed")
-    add("eval", "--checkpoint", "--out")
-    add("sample", "--checkpoint", "--out", "--seed", "--n-samples")
-    add("diagnose", config_optional=True)
-    add("ablation", "--out", "--seed")
+    command("train", "--out", "--seed")
+    command("eval", "--checkpoint", "--out")
+    command("sample", "--checkpoint", "--out", "--seed", "--n-samples")
+    command("diagnose", config_optional=True)
+    command("ablation", "--out", "--seed")
 
     args = parser.parse_args(argv)
     try:

@@ -15,10 +15,13 @@ import contextvars
 import copy
 import ctypes
 import functools
+import inspect
 import json
 import math
+import numbers
 import operator
 import os
+import re
 import reprlib
 import threading
 from dataclasses import dataclass, field, asdict, fields
@@ -49,6 +52,13 @@ CHECKPOINT_VERSION = 1
 # blocks run on separate threads, so a block's size, and with it every
 # result bit, does not depend on how many ranges there are.
 _BLOCK_ROWS = 256
+
+# the deepest nesting of arrays and objects a JSON file may have: far above
+# the 3 levels of a config and 4 of a checkpoint, and far enough below the
+# interpreter's recursion limit (1000) that the decoder, which recurses once
+# per level, reaches it from any stack depth a caller is likely to have
+_MAX_NESTING = 100
+_JSON_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"')
 
 # the largest array extent (a dimension, width, sample or step count) a
 # config or flag may ask for: 16x the largest desk-scale run, and small
@@ -84,11 +94,8 @@ class FieldConfig:
             raise ValueError("hidden_widths must be non-empty")
         if self.time_embed_dim % 2:
             raise ValueError(f"time_embed_dim must be even, got {self.time_embed_dim}")
-        f = self.base_frequency
-        if isinstance(f, bool) or not (math.isfinite(f) and f > 0):
-            raise ValueError(f"base_frequency must be finite and positive, got {f!r}")
-        # np.geomspace cannot take a Python int beyond int64
-        object.__setattr__(self, "base_frequency", float(f))
+        object.__setattr__(self, "base_frequency",
+                           _number("base_frequency", self.base_frequency, 0.0, low_open=True))
 
     @property
     def layer_sizes(self) -> list:
@@ -109,7 +116,7 @@ class FieldConfig:
         for f in fields(cls):
             if f.name not in d:
                 raise ValueError(f"missing key {f.name!r}")
-        return cls(**{**d, "hidden_widths": tuple(d["hidden_widths"])})
+        return cls(**_keywords(cls, {**d, "hidden_widths": tuple(d["hidden_widths"])}))
 
 
 def _check_size(name: str, value) -> int:
@@ -138,12 +145,30 @@ def _checked(path: str, make, /, *args, **kwargs):
 
 def _read_json(path, name: str):
     """The JSON in the file ``path``; a file that cannot be read, is not UTF-8
-    or JSON, or nests too deeply to decode is a ``ConfigError`` at ``name``."""
+    or JSON, or nests arrays and objects deeper than ``_MAX_NESTING`` is a
+    ``ConfigError`` at ``name``. The nesting is checked before decoding, so
+    the verdict on a deep file is the file's own, not the caller's stack
+    depth's."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if _deeper_than(data, _MAX_NESTING):
+            raise ValueError(f"arrays and objects nest deeper than {_MAX_NESTING} levels")
+        return json.loads(data.decode("utf-8"))
     except (OSError, ValueError, RecursionError) as err:
         raise ConfigError(name, f"cannot read {path}: {err}") from None
+
+
+def _deeper_than(data: bytes, limit: int) -> bool:
+    """Whether arrays and objects nest more than ``limit`` levels deep in the
+    UTF-8 JSON text ``data``; a bracket inside a string does not count."""
+    codes = np.frombuffer(data, np.uint8)
+    if sum(np.count_nonzero(codes == c) for c in b"[{") <= limit:
+        return False  # too few brackets to nest deeper
+    codes = np.frombuffer(_JSON_STRING.sub(b'""', data), np.uint8)
+    steps = sum((codes == c).astype(np.int64) for c in b"[{")
+    steps -= sum(codes == c for c in b"]}")
+    return int(np.cumsum(steps).max()) > limit
 
 
 def _integer(name: str, value) -> int:
@@ -151,6 +176,36 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise TypeError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return operator.index(value)
+
+
+def _keywords(make, d: dict) -> dict:
+    """``d``, each of whose keys must name a parameter of ``make``: an
+    unknown key raises ``TypeError`` naming it through ``reprlib``, where
+    Python's own message for ``make(**d)`` would print it in full."""
+    names = inspect.signature(make).parameters
+    for key in d:
+        if key not in names:
+            raise TypeError(f"unknown key {reprlib.repr(key)}")
+    return d
+
+
+def _number(name: str, value, low: float, high: float = math.inf, *,
+            low_open: bool = False) -> float:
+    """``value`` as a finite ``float`` in [low, high], or in (low, high] when
+    ``low_open``. A bool or a value that is not real raises ``TypeError``;
+    NaN, an infinity or a value out of range raises ``ValueError``. Either
+    message leads with ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {reprlib.repr(value)}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if not (math.isfinite(number) and (low < number if low_open else low <= number)
+            and number <= high):
+        span = f"{'(' if low_open else '['}{low:g}, {high:g}{']' if high < math.inf else ')'}"
+        raise ValueError(f"{name} must lie in {span}, got {reprlib.repr(value)}")
+    return number
 
 
 class VelocityField:
@@ -249,7 +304,7 @@ class VelocityField:
         xp, dx = ad._unpack(x)
         rp, dr = ad._unpack(r)
         tp, dt = ad._unpack(t)
-        b = self._check_inputs(xp, rp, tp)
+        b = _check_batch(xp, rp, tp, self.config.input_dim)
         dual = dx is not None or dr is not None or dt is not None
         attach = dual and ad._DUAL_ATTACH.get()
         tape = ad._active_tape()
@@ -424,20 +479,6 @@ class VelocityField:
         _run_ranges(run, list(zip(bounds, bounds[1:])))
         return out
 
-    def _check_inputs(self, x: Tensor, r: Tensor, t: Tensor) -> int:
-        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
-            raise ad.ShapeMismatchError(
-                f"field forward: expected x of shape [b, {self.config.input_dim}], "
-                f"got {x.shape}"
-            )
-        b = x.shape[0]
-        if r.shape != (b,) or t.shape != (b,):
-            raise ad.ShapeMismatchError(
-                f"field forward: expected r and t of shape [{b}], "
-                f"got {r.shape} and {t.shape}"
-            )
-        return b
-
     def _embed(self, tv: np.ndarray, out: np.ndarray):
         """The sinusoidal embedding of the times ``tv`` [b] into ``out``
         [b, k]: column 2j is sin(w_j t) and column 2j+1 is cos(w_j t), with
@@ -455,6 +496,21 @@ class VelocityField:
         out[:, 0::2] = emb[:, 1::2] * dphases
         out[:, 1::2] = -(emb[:, 0::2] * dphases)
         return out
+
+
+def _check_batch(x: Tensor, r: Tensor, t: Tensor, dim: int) -> int:
+    """The batch size b of a field's inputs x [b, dim], r [b] and t [b]."""
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ad.ShapeMismatchError(
+            f"field forward: expected x of shape [b, {dim}], got {x.shape}"
+        )
+    b = x.shape[0]
+    if r.shape != (b,) or t.shape != (b,):
+        raise ad.ShapeMismatchError(
+            f"field forward: expected r and t of shape [{b}], "
+            f"got {r.shape} and {t.shape}"
+        )
+    return b
 
 
 def _range_count(b: int) -> int:
@@ -605,17 +661,21 @@ def init_params(config: FieldConfig) -> VelocityField:
 # field, which is handy for exactness baselines in evaluation.
 
 
+# parameter values per chunk that ``save_checkpoint`` encodes at once
+_SAVE_CHUNK = 4096
+
+
 def _state_dict(field: VelocityField) -> dict:
-    params = []
-    for p in field.params:
-        params.append({"shape": list(p.shape), "data": p.data.reshape(-1).tolist()})
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "kind": "mlp",
-        "config": field.config.to_dict(),
-        "params": params,
-    }
+    """The checkpoint document of ``field``; ``save_checkpoint`` writes its
+    ``json.dumps`` text."""
+    params = [{"shape": list(p.shape), "data": p.data.reshape(-1).tolist()}
+              for p in field.params]
+    return {**_header(field), "params": params}
+
+
+def _header(field: VelocityField) -> dict:
+    return {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION, "kind": "mlp",
+            "config": field.config.to_dict()}
 
 
 def write_atomic(path, write):
@@ -658,9 +718,22 @@ def write_csv(path, header, rows):
 
 
 def save_checkpoint(field: VelocityField, path):
-    state = _state_dict(field)
-    # one dumps + write: json.dump would run the pure-Python iterencode
-    write_atomic(path, lambda fh: fh.write(json.dumps(state)))
+    """Write ``json.dumps(_state_dict(field))`` to ``path`` through
+    ``write_atomic``, byte for byte, without holding that text at once: the
+    header is one ``dumps``, and each tensor's values are encoded and
+    written ``_SAVE_CHUNK`` at a time, joined by ``", "`` as ``dumps`` joins
+    them. (``json.dump`` would run the slower pure-Python encoder.)"""
+    def write(fh):
+        fh.write(json.dumps(_header(field))[:-1] + ', "params": [')
+        for i, p in enumerate(field.params):
+            fh.write(f'{", " if i else ""}{{"shape": {json.dumps(list(p.shape))}, "data": [')
+            flat = p.data.reshape(-1)
+            for lo in range(0, flat.size, _SAVE_CHUNK):
+                fh.write((", " if lo else "") + json.dumps(flat[lo:lo + _SAVE_CHUNK].tolist())[1:-1])
+            fh.write("]}")
+        fh.write("]}")
+
+    write_atomic(path, write)
 
 
 def _field_from_params(stored, config: FieldConfig) -> VelocityField:

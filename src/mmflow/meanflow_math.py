@@ -2,13 +2,13 @@
 
 Two analytic flows are provided: a constant drift and the gradient flow of
 the quadratic potential (velocity -x, exponential decay paths). Each knows
-its instantaneous velocity and trajectory in closed form as plain numpy,
-and its average velocity in closed form as tape operations, so that the
-analytic oracle ``OracleField`` can be differentiated with a
-Jacobian-vector product. One Simpson rule, ``average_velocity_oracle``,
-integrates the velocity along the numpy trajectory over a fixed
-``_SIMPSON_INTERVALS`` intervals; it is the independent reference that the
-closed forms are checked against.
+its instantaneous velocity and trajectory, and its average velocity with
+that velocity's directional derivative, in closed form as plain numpy, so
+that the analytic oracle ``OracleField`` takes the dual inputs of a
+Jacobian-vector product as the MLP does. One Simpson rule,
+``average_velocity_oracle``, integrates the velocity along the numpy
+trajectory over a fixed ``_SIMPSON_INTERVALS`` intervals; it is the
+independent reference that the closed forms are checked against.
 
 The residual calculators measure how far a candidate field is from
 satisfying the differential identity tying average to instantaneous
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import as_tensor, jvp
-from .field_model import CHECKPOINT_FORMAT, CHECKPOINT_VERSION, _check_size
+from .autodiff import Tensor, as_tensor, jvp
+from .field_model import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION, _check_batch, _check_size,
+                          _keywords)
 
 __all__ = [
     "AnalyticFlow",
@@ -55,11 +56,6 @@ def _promote(x, r, t):
     return x, r, t
 
 
-def _rows(x) -> int:
-    primal = x.primal if isinstance(x, ad.DualTensor) else x
-    return primal.shape[0]
-
-
 class AnalyticFlow:
     """Base class for closed-form reference dynamics."""
 
@@ -75,8 +71,12 @@ class AnalyticFlow:
         """State transported from time t_from to t_to (either direction)."""
         raise NotImplementedError
 
-    def average_velocity_op(self, x, r, t):
-        """Average velocity over [r, t] at the state x_t, in tape operations."""
+    def average_velocity(self, x, r, t, tangents=None):
+        """Average velocity over [r, t] at the states x_t, in numpy: ``(u,
+        du)`` with u [b, d] for x [b, d], r [b] and t [b]. ``du`` is None
+        when ``tangents`` is; else it is the directional derivative of u
+        along ``tangents = (dx, dr, dt)``, where a tangent that is None (at
+        most two of them) is zero."""
         raise NotImplementedError(f"{self.kind} flow has no closed-form average velocity")
 
     def to_dict(self) -> dict:
@@ -106,8 +106,9 @@ class ConstantFlow(AnalyticFlow):
         out = x + (t1 - t0)[:, None] * self.c
         return out[0] if np.ndim(x_from) == 1 else out
 
-    def average_velocity_op(self, x, r, t):
-        return ad.expand_rows(as_tensor(self.c), _rows(x))
+    def average_velocity(self, x, r, t, tangents=None):
+        u = np.broadcast_to(self.c, (x.shape[0], self.dim))
+        return u, None if tangents is None else np.zeros(u.shape)
 
     def to_dict(self):
         return {"kind": self.kind, "c": self.c.tolist()}
@@ -126,9 +127,20 @@ class HarmonicFlow(AnalyticFlow):
         out = x * np.exp(t0 - t1)[:, None]
         return out[0] if np.ndim(x_from) == 1 else out
 
-    def average_velocity_op(self, x, r, t):
-        # u(x_t, r, t) = x_t (1 - e^{t-r}) / (t - r) = -x_t expm1(g) / g, g = t - r
-        return ad.scale_rows(x, ad.neg(_expm1_ratio(ad.sub(t, r))))
+    def average_velocity(self, x, r, t, tangents=None):
+        # u(x_t, r, t) = x_t (1 - e^{t-r}) / (t - r) = x_t s with s = -expm1(g) / g,
+        # g = t - r; du = dx s + x ds, ds = -slope(g) dg, a missing term left out
+        g = t - r
+        s = -_expm1_ratio_value(g)
+        u = x * s[:, None]
+        if tangents is None:
+            return u, None
+        dx, dr, dt = tangents
+        dg = dt if dr is None else -dr if dt is None else dt - dr
+        if dg is None:
+            return u, dx * s[:, None]
+        right = x * (-(_expm1_ratio_slope(g) * dg))[:, None]
+        return u, right if dx is None else dx * s[:, None] + right
 
 
 # below this |g| the slope of expm1(g)/g comes from its Taylor series:
@@ -150,16 +162,6 @@ def _expm1_ratio_slope(g: np.ndarray) -> np.ndarray:
     return np.where(small, series, (np.exp(safe) - _expm1_ratio_value(safe)) / safe)
 
 
-def _expm1_ratio(g):
-    """Tape op for expm1(g) / g, exact at and near g = 0. Its slope enters
-    forward mode as a constant, so the op is differentiable once."""
-    return ad._op(
-        "expm1_ratio", (g,), _expm1_ratio_value,
-        lambda grad, x, y: (grad * _expm1_ratio_slope(x),),
-        lambda y, gp, gt: ad.mul(as_tensor(_expm1_ratio_slope(gp.data)), gt),
-    )
-
-
 _FLOWS = {cls.kind: cls for cls in (ConstantFlow, HarmonicFlow)}
 
 
@@ -171,7 +173,7 @@ def flow_from_dict(d: dict) -> AnalyticFlow:
     kind = fields.pop("kind", None)
     if kind not in tuple(_FLOWS):
         raise ValueError(f"kind must be one of {'|'.join(_FLOWS)}, got {reprlib.repr(kind)}")
-    return _FLOWS[kind](**fields)
+    return _FLOWS[kind](**_keywords(_FLOWS[kind], fields))
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +283,23 @@ def average_velocity_oracle(flow: AnalyticFlow, x_t, r, t) -> np.ndarray:
 
 class OracleField:
     """The true average velocity packaged as an evaluable field u(x, r, t):
-    the flow's closed form ``average_velocity_op``, which forward mode
-    differentiates like any other field."""
+    the flow's closed form ``average_velocity``."""
 
     def __init__(self, flow: AnalyticFlow):
         self.flow = flow
 
     def forward(self, x, r, t):
-        return self.flow.average_velocity_op(x, r, t)
+        """u(x, r, t) for a batch: x [b, d], r [b], t [b]. Like
+        ``VelocityField.forward`` it takes constant or ``DualTensor``
+        inputs, checks their shapes the same way, and with a dual input it
+        returns ``DualTensor(u, du)``. It records nothing on a tape, so no
+        gradient flows through it."""
+        (xp, dx), (rp, dr), (tp, dt) = ad._unpack(x), ad._unpack(r), ad._unpack(t)
+        _check_batch(xp, rp, tp, self.flow.dim)
+        dual = dx is not None or dr is not None or dt is not None
+        tangents = tuple(None if v is None else v.data for v in (dx, dr, dt)) if dual else None
+        u, du = self.flow.average_velocity(xp.data, rp.data, tp.data, tangents)
+        return ad.DualTensor(Tensor._wrap(u), Tensor._wrap(du)) if dual else Tensor._wrap(u)
 
     def __call__(self, x, r, t):
         return self.forward(x, r, t)

@@ -8,13 +8,12 @@ point-mass task couple independent draws of the two marginals.
 
 from __future__ import annotations
 
-import math
 import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field_model import _check_seed, _check_size
+from .field_model import _check_seed, _check_size, _number
 from .meanflow_math import ReferencePath
 
 __all__ = [
@@ -44,13 +43,9 @@ class Gmm2dTask:
     def __init__(self, components: int = 8, ring_radius: float = 4.0,
                  component_std: float = 0.3, seed: int = 0):
         self.components = _check_size("components", components)
-        if not 0 <= ring_radius < math.inf:
-            raise ValueError(f"ring_radius must be finite and >= 0, got {ring_radius}")
-        if not 0 <= component_std < math.inf:
-            raise ValueError(f"component_std must be finite and >= 0, got {component_std}")
+        self.ring_radius = _number("ring_radius", ring_radius, 0.0)
+        self.component_std = _number("component_std", component_std, 0.0)
         self.seed = _check_seed(seed)
-        self.ring_radius = float(ring_radius)
-        self.component_std = float(component_std)
         angles = 2.0 * np.pi * np.arange(self.components) / self.components
         self.centers = self.ring_radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
@@ -77,11 +72,8 @@ class OdeHarmonicTask:
 
     def __init__(self, dim: int = 2, endpoint_noise_std: float = 0.01, seed: int = 0):
         self._dim = _check_size("dim", dim)
-        if not 0 <= endpoint_noise_std < math.inf:
-            raise ValueError(f"endpoint_noise_std must be finite and >= 0, "
-                             f"got {endpoint_noise_std}")
+        self.endpoint_noise_std = _number("endpoint_noise_std", endpoint_noise_std, 0.0)
         self.seed = _check_seed(seed)
-        self.endpoint_noise_std = float(endpoint_noise_std)
 
     @property
     def dim(self) -> int:
@@ -109,11 +101,9 @@ class PointMassTask:
         if mean.shape[0] != 2 or not np.isfinite(mean).all():
             raise ValueError("target_mean must be a finite 2-vector, "
                              f"got {reprlib.repr(mean.tolist())}")
-        if not 0 <= target_std < math.inf:
-            raise ValueError(f"target_std must be finite and >= 0, got {target_std}")
+        self.target_std = _number("target_std", target_std, 0.0)
         self.seed = _check_seed(seed)
         self.target_mean = mean
-        self.target_std = float(target_std)
 
     @property
     def dim(self) -> int:

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .autodiff import Tape, backward
-from .field_model import (_check_seed, _check_size, _integer, save_checkpoint, write_atomic,
-                          write_csv)
+from .field_model import (_check_seed, _check_size, _integer, _number, save_checkpoint,
+                          write_atomic, write_csv)
 from .objectives import (
     TimePairConfig,
     build_batch,
@@ -83,15 +83,15 @@ class TrainConfig:
         object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
-        if not 0 < self.lr0 < math.inf:
-            raise ValueError(f"lr0 must be finite and positive, got {self.lr0}")
+        object.__setattr__(self, "lr0", _number("lr0", self.lr0, 0.0, low_open=True))
         if not 1 <= self.log_every <= self.total_steps:
             raise ValueError(f"log_every must lie in [1, total_steps = {self.total_steps}], "
                              f"got {self.log_every}")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.grad_clip is not None and not 0 < self.grad_clip < math.inf:
-            raise ValueError(f"grad_clip must be finite and positive, got {self.grad_clip}")
+        if self.grad_clip is not None:
+            object.__setattr__(self, "grad_clip",
+                               _number("grad_clip", self.grad_clip, 0.0, low_open=True))
         for key, choices in (("interpolation", ("interval_ratio", "absolute_time")),
                              ("target_norm", ("sampled_gap", "pair_span"))):
             if getattr(self, key) not in choices:

@@ -67,7 +67,7 @@ def forward_ops(field, x, r, t):
     identity, which copies finite values exactly, so its tangent and its
     adjoint go through the tape.
     """
-    from mmflow import autodiff as ad
+    import tape_ops as ad
 
     d, k = field.config.input_dim, field.config.time_embed_dim
     freqs = np.geomspace(1.0, field.config.base_frequency, k // 2)
@@ -102,12 +102,12 @@ def op_chain_loss(field, batch, lam, target_norm="sampled_gap"):
     """``loss_lambda`` written as a chain of generic tape operations:
     ``sg_lambda``, ``scale_rows``, ``add``, ``sub``, ``square``, ``sum_all``
     and ``div`` after the jvp (6 tape nodes at lambda = 0, 8 above)."""
-    from mmflow import autodiff as ad
+    from mmflow.autodiff import jvp
     from mmflow.objectives import _loss_target
 
     target = _loss_target(batch, target_norm)
     gap = batch.t - batch.r
-    u, bracket = ad.jvp(
+    u, bracket = jvp(
         field,
         [batch.x_t, batch.r, batch.t],
         [target, np.zeros_like(batch.r), np.ones_like(batch.t)],
@@ -119,7 +119,7 @@ def op_chain_loss(field, batch, lam, target_norm="sampled_gap"):
 def op_chain_residual_loss(u, bracket, gap, target, lam):
     """Mean squared residual ``|u + gap * SG_lam[bracket] - target|^2 / b``
     in generic tape operations."""
-    from mmflow import autodiff as ad
+    import tape_ops as ad
 
     residual = ad.sub(
         ad.add(u, ad.scale_rows(ad.sg_lambda(bracket, lam), ad.as_tensor(gap))),

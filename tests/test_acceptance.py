@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mmflow.cli as cli
-from mmflow.autodiff import Tape, Tensor, backward, jvp
+from mmflow.autodiff import Tape, Tensor, as_tensor, backward, jvp
 from mmflow.field_model import FieldConfig, init_params
 from mmflow.meanflow_math import (
     HarmonicFlow,
@@ -251,7 +251,7 @@ def _ode_path_metrics(entry, task, seed):
     x0, x1 = task.sample_pairs(rng, 16)
     ref = task.reference_path(SamplePair(x0=x0, x1=x1), grid_len=257)
     paths = few_step_sample(entry["field"], x1, 8)
-    zero = few_step_sample(lambda x, r, t: 0.0 * x, x1, 8)
+    zero = few_step_sample(lambda x, r, t: as_tensor(np.zeros(x.shape)), x1, 8)
     entry["d_path"] = float(np.mean(path_deviation(paths, ref)))
     entry["smoothness"] = float(np.mean(smoothness(paths)))
     entry["d_path_zero_field"] = float(np.mean(path_deviation(zero, ref)))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmflow import autodiff as ad
 from mmflow.autodiff import (
     Tape,
     Tensor,
@@ -13,11 +12,11 @@ from mmflow.autodiff import (
     as_tensor,
     backward,
     jvp,
-    sg_lambda,
-    stopgrad,
 )
 
 from helpers import central_difference, rel_err
+import tape_ops as ad
+from tape_ops import sg_lambda, stopgrad
 
 
 def param(arr):
@@ -832,7 +831,7 @@ def test_leaf_keeps_its_gradient_while_another_thread_records_it():
 def test_leaf_used_on_a_nested_tape_keeps_its_outer_gradient():
     x = param(2.0)
     with Tape():
-        y = x * x
+        y = ad.mul(x, x)
         with Tape():
             inner = ad.mul(x, 3.0)
         loss = ad.add(y, x)

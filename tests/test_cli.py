@@ -21,7 +21,7 @@ from mmflow.cli import (
     load_config,
     main,
 )
-from mmflow.field_model import _blas_threads, _set_blas_threads
+from mmflow.field_model import _blas_threads, _read_json, _set_blas_threads
 from mmflow.meanflow_math import HarmonicFlow, OracleField
 
 from helpers import read_csv_columns
@@ -327,8 +327,7 @@ def test_a_huge_rejected_value_prints_one_short_line(tmp_path, command, config_c
                                                      checkpoint):
     # the whole value used to be printed: about 2000 brackets for the deep c,
     # and 100 000 entries for an array where a number or an object belongs.
-    # The command runs in a fresh interpreter, as `mmf` does: under the test
-    # runner's own stack the decoder already gives up on the deep c.
+    # The command runs in a fresh interpreter, as `mmf` does.
     args = [command, "--config", str(smoke_config(tmp_path, **config_changes)),
             "--out", str(tmp_path / "never")]
     if checkpoint is not None:
@@ -392,8 +391,29 @@ def test_deeply_nested_json_exits_2_writing_nothing(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     where = "config error: <config>: " if command == "train" else "checkpoint error: checkpoint: "
-    assert err.startswith(where) and "recursion" in err
+    assert err.startswith(where) and "nest deeper than 100 levels" in err
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def _at_stack_depth(frames, fn, *args):
+    """``fn(*args)``, called ``frames`` Python frames deeper than this call."""
+    return _at_stack_depth(frames - 1, fn, *args) if frames else fn(*args)
+
+
+@pytest.mark.parametrize("depth, decodes", [(100, True), (101, False), (980, False)])
+def test_the_nesting_verdict_is_the_files_at_any_caller_depth(tmp_path, depth, decodes):
+    # the decoder recurses once per level, so a 980-deep file used to decode
+    # from a shallow stack and fail with a RecursionError from a deep one
+    path = tmp_path / "nested.json"
+    path.write_text("[" * depth + "]" * depth)
+    for frames in (0, 600):
+        if decodes:
+            assert _at_stack_depth(frames, _read_json, path, "checkpoint") is not None
+        else:
+            with pytest.raises(ConfigError) as err:
+                _at_stack_depth(frames, _read_json, path, "checkpoint")
+            assert err.value.path == "checkpoint"
+            assert str(err.value).endswith("arrays and objects nest deeper than 100 levels")
 
 
 def overflowing_checkpoint(tmp_path, every_row):
@@ -574,13 +594,15 @@ def test_cmd_diagnose_stock_build_passes(capsys):
 
 
 def test_cmd_diagnose_sign_error_detected(capsys, monkeypatch):
-    from mmflow import autodiff as ad
-    from mmflow.meanflow_math import HarmonicFlow, _expm1_ratio
+    from mmflow.meanflow_math import HarmonicFlow
 
-    def wrong_sign(self, x, r, t):  # +x expm1(g)/g where the flow has -x expm1(g)/g
-        return ad.scale_rows(x, _expm1_ratio(ad.sub(t, r)))
+    closed_form = HarmonicFlow.average_velocity
 
-    monkeypatch.setattr(HarmonicFlow, "average_velocity_op", wrong_sign)
+    def wrong_sign(self, x, r, t, tangents=None):  # +x expm1(g)/g where the flow has -x expm1(g)/g
+        u, du = closed_form(self, x, r, t, tangents)
+        return -u, None if du is None else -du
+
+    monkeypatch.setattr(HarmonicFlow, "average_velocity", wrong_sign)
     assert cmd_diagnose() == 1
     captured = capsys.readouterr()
     assert "identity_harmonic" in captured.err

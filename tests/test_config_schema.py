@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import mmflow.cli as cli
 from mmflow.cli import ConfigError, canonicalize, config_hash, load_config, main
 from mmflow.field_model import MAX_SIZE, FieldConfig, _state_dict, init_params
-from mmflow.meanflow_math import ConstantFlow, HarmonicFlow, OracleField
+from mmflow.meanflow_math import ConstantFlow, HarmonicFlow, OracleField, flow_from_dict
 from mmflow.objectives import ConstantSchedule, TimePairConfig, WarmupSchedule
 from mmflow.tasks import Gmm2dTask, OdeHarmonicTask, PointMassTask
 from mmflow.trainer import TrainConfig
@@ -249,6 +249,25 @@ def test_invalid_document_rejected_at_path(doc, path, key):
         assert str(err.value).startswith(f"{path}: {key} ")
 
 
+LONG_KEY = "x" * 100_000
+
+
+# Python's own unexpected-keyword message, or the path, printed such a key in
+# full: messages of about 100 000 characters
+@pytest.mark.parametrize("build, error", [
+    (lambda: flow_from_dict({"kind": "harmonic", "dim": 1, LONG_KEY: 1}), TypeError),
+    (lambda: FieldConfig.from_dict({**FieldConfig(input_dim=2).to_dict(), LONG_KEY: 1}),
+     TypeError),
+    (lambda: canonicalize(_key("train", LONG_KEY, 1)), ConfigError),
+    (lambda: canonicalize(doc_with(LONG_KEY, 1)), ConfigError),
+], ids=["flow", "field-config", "config-section", "config-root"])
+def test_an_unknown_key_is_named_in_short(build, error):
+    with pytest.raises(error) as err:
+        build()
+    assert "unknown key" in str(err.value) and "xxxxxxxxxx...xxxxxxxxxx" in str(err.value)
+    assert len(str(err.value)) < 100
+
+
 def test_every_default_is_materialized():
     cfg = canonicalize({"task": {"kind": "point_mass"}})
     assert cfg == {
@@ -370,6 +389,25 @@ NUMBER_KEYS = [
 def test_a_number_parameter_rejects_an_infinity_naming_the_key(make, key, value):
     with pytest.raises(ValueError, match=f"^{key} "):
         _with(make, key, value)
+
+
+# the number rules compared, so a bool passed as 0 or 1 (``TrainConfig(lr0=True)``
+# kept True) and a string or None raised Python's own ``'<=' not supported``
+@_each(NUMBER_KEYS)
+@pytest.mark.parametrize("value", [True, "0.5", None, NAN], ids=["true", "str", "none", "nan"])
+def test_a_number_parameter_rejects_a_non_number_naming_the_key(make, key, value):
+    if value is None and key == "grad_clip":  # None turns clipping off
+        assert _with(make, key, value).grad_clip is None
+        return
+    error, message = (ValueError, "must lie in") if value is NAN else (TypeError, "must be a number")
+    with pytest.raises(error, match=f"^{key} {message}"):
+        _with(make, key, value)
+
+
+@_each(NUMBER_KEYS)
+def test_a_number_parameter_is_stored_as_a_float(make, key):
+    stored = getattr(_with(make, key, np.float32(0.25)), key)
+    assert type(stored) is float and stored == 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import mmflow.autodiff as ad
 import mmflow.field_model as fm
 from mmflow.autodiff import Tape, Tensor, as_tensor, backward, jvp
 from mmflow.field_model import _BLOCK_ROWS, FieldConfig, VelocityField, init_params
@@ -32,6 +31,7 @@ from mmflow.objectives import (
 from mmflow.sampler_eval import few_step_sample, one_step_sample
 
 from helpers import central_difference, forward_ops, op_chain_loss, op_chain_residual_loss
+import tape_ops as ad
 
 TOL = 1e-12
 

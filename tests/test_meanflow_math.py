@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mmflow.autodiff import as_tensor, jvp
+from mmflow.autodiff import DualTensor, ShapeMismatchError, Tape, Tensor, as_tensor, jvp
 from mmflow.meanflow_math import (
     ConstantFlow,
     HarmonicFlow,
@@ -18,6 +18,8 @@ from mmflow.meanflow_math import (
     limit_slope,
     rk4_solve,
 )
+
+import tape_ops as ops
 
 
 def sample_rt(rng, b, min_gap=1e-3):
@@ -239,6 +241,81 @@ def test_expm1_ratio_slope_is_smooth_across_the_series_switch():
     assert np.max(np.abs(_expm1_ratio_slope(g) - central)) <= 1e-9
 
 
+# each flow's average velocity as the op chain it was written in before it
+# became numpy; the numpy closed form must round every value and tangent alike
+def _rows(x):
+    return (x.primal if isinstance(x, DualTensor) else x).shape[0]
+
+
+OP_CHAINS = {
+    "constant": (ConstantFlow([0.5, -1.25]),
+                 lambda flow, x, r, t: ops.expand_rows(as_tensor(flow.c), _rows(x))),
+    "harmonic": (HarmonicFlow(2),
+                 lambda flow, x, r, t: ops.scale_rows(x, ops.neg(ops.expm1_ratio(ops.sub(t, r))))),
+}
+
+
+def _oracle_inputs(flow):
+    """Rows at the gaps 0, +-1e-9, just inside and outside the series switch
+    of expm1(g)/g (both signs) and 1, from r = 0 and from r = 0.375."""
+    from mmflow.meanflow_math import _SERIES_BELOW
+
+    gaps = np.array([0.0, 1e-9, -1e-9, np.nextafter(_SERIES_BELOW, 0.0), _SERIES_BELOW,
+                     -np.nextafter(_SERIES_BELOW, 0.0), -_SERIES_BELOW, 1.0])
+    r = np.repeat([0.0, 0.375], gaps.size)
+    t = r + np.tile(gaps, 2)
+    x = np.random.default_rng(8).normal(size=(r.size, flow.dim))
+    return x, r, t
+
+
+def _tangents(kind, flow, x, r, t):
+    rng = np.random.default_rng(9)
+    dx, dr, dt = rng.normal(size=x.shape), rng.normal(size=r.shape), rng.normal(size=t.shape)
+    return {
+        "v01": [flow.velocity(x, t), np.zeros_like(r), np.ones_like(t)],
+        "all": [dx, dr, dt],
+        "x": [dx, None, None],
+        "r": [None, dr, None],
+        "t": [None, None, dt],
+        "rt": [None, dr, dt],
+    }[kind]
+
+
+@pytest.mark.parametrize("attach", [False, True], ids=["detached", "attached"])
+@pytest.mark.parametrize("kind", ["v01", "all", "x", "r", "t", "rt"])
+@pytest.mark.parametrize("name", sorted(OP_CHAINS))
+def test_oracle_value_and_tangent_match_the_op_chain_bit_for_bit(name, kind, attach):
+    flow, chain = OP_CHAINS[name]
+    x, r, t = _oracle_inputs(flow)
+    tangents = _tangents(kind, flow, x, r, t)
+    expected = jvp(lambda *a: chain(flow, *a), [x, r, t], tangents)
+    with Tape() as tape:
+        got = jvp(OracleField(flow), [x, r, t], tangents, attach=attach)
+    assert len(tape) == 0  # the oracle records nothing, attached or not
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape and a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(OP_CHAINS))
+def test_oracle_value_without_tangents_matches_the_op_chain_bit_for_bit(name):
+    flow, chain = OP_CHAINS[name]
+    args = [as_tensor(a) for a in _oracle_inputs(flow)]
+    with Tape() as tape:
+        got = OracleField(flow)(*args)
+    assert len(tape) == 0 and isinstance(got, Tensor)
+    assert got.data.tobytes() == chain(flow, *args).data.tobytes()
+
+
+@pytest.mark.parametrize("x, r", [(np.ones((3, 5)), np.zeros(3)), (np.ones((3, 2)), np.zeros(1)),
+                                  (np.ones(2), np.zeros(1))], ids=["x-width", "r-rows", "x-1d"])
+@pytest.mark.parametrize("flow", [ConstantFlow([1.0, 2.0]), HarmonicFlow(2)],
+                         ids=["constant", "harmonic"])
+def test_oracle_field_checks_its_input_shapes(flow, x, r):
+    # a 5-wide x used to give a [3, 2] or a [3, 5] velocity without complaint
+    with pytest.raises(ShapeMismatchError):
+        OracleField(flow)(as_tensor(x), as_tensor(r), as_tensor(np.ones_like(r)))
+
+
 @pytest.mark.parametrize("flow", [ConstantFlow([1.3, -0.4]), HarmonicFlow(1), HarmonicFlow(2)],
                          ids=["constant", "harmonic1", "harmonic2"])
 def test_oracle_field_matches_numpy_quadrature(flow):
@@ -277,9 +354,7 @@ def test_identity_residual_zero_field_equals_velocity():
     flow = HarmonicFlow(2)
 
     def zero_field(x, r, t):
-        import mmflow.autodiff as ad
-
-        return ad.mul(x, 0.0)
+        return ops.mul(x, 0.0)
 
     x = np.array([[0.4, -0.9]])
     res = identity_residual(zero_field, flow, x, 0.2, 0.8)

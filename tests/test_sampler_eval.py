@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import mmflow.autodiff as ad
 from mmflow import cli
 from mmflow.meanflow_math import (
     HarmonicFlow,
@@ -26,6 +25,7 @@ from mmflow.field_model import FieldConfig, init_params
 from mmflow.tasks import OdeHarmonicTask, PointMassTask, SamplePair
 
 from helpers import EvalCounter
+import tape_ops as ad
 
 
 def zero_field(x, r, t):
